@@ -2,16 +2,14 @@
    host second on fixed-configuration runs of the scale apps, the same
    measurement as BENCH_scale.json's points (wall clock around
    [Apps.Harness.run_spec], so the two files are directly comparable),
-   plus interpreter steps/sec over the IR corpus and the conservative
-   parallel mode at 2 and 4 domains on a 16-node run.
+   plus interpreter steps/sec over the IR corpus.
 
    Results land in BENCH_speed.json; [run_speed_smoke] is the CI
-   regression gate — it fails the build if single-threaded events/sec on
+   regression gate — it fails the build if events/sec on
    the LU and Water-Nsq smokes drops below a floor derived from the
    committed baseline. *)
 
 module C = Shasta.Cluster
-module E = Protocol.Engine
 module J = Load.Json
 
 (* Node-major placement, as in bench/scale.ml. *)
@@ -21,7 +19,6 @@ type point = {
   s_name : string;
   s_procs : int;
   s_nodes : int;
-  s_domains : int;
   s_elapsed : float;  (** simulated seconds *)
   s_events : int;
   s_wall : float;  (** host seconds around run_spec *)
@@ -37,7 +34,6 @@ let point_json p =
       ("name", J.Str p.s_name);
       ("procs", J.Int p.s_procs);
       ("nodes", J.Int p.s_nodes);
-      ("domains", J.Int p.s_domains);
       ("elapsed_ms", J.Float (1000.0 *. p.s_elapsed));
       ("events", J.Int p.s_events);
       ("events_per_sec", J.Float (events_per_sec p));
@@ -50,34 +46,18 @@ let point_json p =
       ("gc_compactions", J.Int p.s_gc.Sim.Stats.gc_compactions);
     ]
 
-(* One timed application run.  Parallel points run on one-cpu nodes (one
-   event lane per node) and are swept for coherence after the run: the
-   parallel mode must leave a quiescent, violation-free protocol state. *)
-let run_app ?(name = "") ?(domains = 1) spec ~nprocs ~nodes ~cpus =
-  let cl = Support.cluster ~nodes ~cpus ~parallel:domains () in
+(* One timed application run. *)
+let run_app spec ~nprocs ~nodes ~cpus =
+  let cl = Support.cluster ~nodes ~cpus () in
   let gc0 = Sim.Stats.gc_mark () in
   let t0 = Unix.gettimeofday () in
   let elapsed, ok = Apps.Harness.run_spec cl spec ~nprocs ~sync:Apps.Harness.Mp () in
   let wall = Unix.gettimeofday () -. t0 in
   let gc = Sim.Stats.gc_delta gc0 in
-  let ok =
-    ok
-    &&
-    if domains > 1 then (
-      match E.check_quiescent (C.protocol_engine cl) with
-      | [] -> true
-      | errs ->
-          List.iter (fun e -> Printf.eprintf "invariant: %s\n" e) errs;
-          false)
-    else true
-  in
   {
-    s_name =
-      (if name <> "" then name
-       else Printf.sprintf "%s@%d" spec.Apps.Harness.name nprocs);
+    s_name = Printf.sprintf "%s@%d" spec.Apps.Harness.name nprocs;
     s_procs = nprocs;
     s_nodes = nodes;
-    s_domains = domains;
     s_elapsed = elapsed;
     s_events = Sim.Engine.events_fired (C.sim cl);
     s_wall = wall;
@@ -107,7 +87,6 @@ let run_interp () =
     s_name = "ircorpus-interp";
     s_procs = 1;
     s_nodes = 1;
-    s_domains = 1;
     s_elapsed = 0.0;
     s_events = steps;
     s_wall = wall;
@@ -118,14 +97,13 @@ let run_interp () =
 let print_points points =
   Support.print_table
     ~headers:
-      [ "bench"; "procs"; "nodes"; "dom"; "events"; "ev/s (M)"; "wall s"; "minor Mw"; "ok" ]
+      [ "bench"; "procs"; "nodes"; "events"; "ev/s (M)"; "wall s"; "minor Mw"; "ok" ]
     (List.map
        (fun p ->
          [
            p.s_name;
            string_of_int p.s_procs;
            string_of_int p.s_nodes;
-           string_of_int p.s_domains;
            string_of_int p.s_events;
            Printf.sprintf "%.3f" (events_per_sec p /. 1e6);
            Printf.sprintf "%.2f" p.s_wall;
@@ -135,9 +113,7 @@ let print_points points =
        points)
 
 let emit ~file ~bench points =
-  Support.emit_json ~file ~bench
-    ~meta:[ ("host_domains", J.Int (Domain.recommended_domain_count ())) ]
-    [ ("points", J.List (List.map point_json points)) ]
+  Support.emit_json ~file ~bench [ ("points", J.List (List.map point_json points)) ]
 
 let find name points = List.find (fun p -> p.s_name = name) points
 
@@ -145,7 +121,7 @@ let run_speed () =
   Support.print_header "simulator throughput (events per host second)";
   let lu = Apps.Registry.find "LU" in
   let wnsq = Apps.Registry.find "Water-Nsq" in
-  let seq_points =
+  let points =
     List.concat_map
       (fun spec ->
         List.map
@@ -154,28 +130,9 @@ let run_speed () =
             run_app spec ~nprocs ~nodes ~cpus)
           [ 1; 16 ])
       [ lu; wnsq ]
+    @ [ run_interp () ]
   in
-  (* The parallel sweep: 16 one-cpu nodes = 16 event lanes, driven by 1,
-     2 and 4 real domains.  On a multicore host the 2- and 4-domain
-     points show the wall-clock win; on a single-core host (CI included)
-     they bound the coordination overhead instead — either way the
-     simulated results must validate and sweep clean. *)
-  let par_points =
-    List.map
-      (fun domains ->
-        run_app lu
-          ~name:(Printf.sprintf "LU@16n-par%d" domains)
-          ~domains ~nprocs:16 ~nodes:16 ~cpus:1)
-      [ 1; 2; 4 ]
-  in
-  let interp = run_interp () in
-  let points = seq_points @ par_points @ [ interp ] in
   print_points points;
-  (let p1 = find "LU@16n-par1" points
-   and p4 = find "LU@16n-par4" points in
-   Printf.printf "parallel 4-domain wall vs sequential: %.2fx (%d host cores)\n"
-     (p1.s_wall /. Float.max 1e-9 p4.s_wall)
-     (Domain.recommended_domain_count ()));
   List.iter
     (fun p ->
       if not p.s_ok then failwith ("speed: " ^ p.s_name ^ " failed validation"))

@@ -8,7 +8,7 @@ let cluster ?(nodes = 4) ?(cpus = 4) ?(variant = Protocol.Config.Smp)
     ?(model = Protocol.Config.Rc) ?(checks = true) ?(direct_downgrade = true)
     ?(shared = 8 * 1024 * 1024) ?(homing = Protocol.Config.Static)
     ?(migration_threshold = Protocol.Config.default.Protocol.Config.migration_threshold)
-    ?(invariants = false) ?coalescing ?(plan = Fault.Plan.empty) ?(parallel = 1) () =
+    ?(invariants = false) ?coalescing ?(plan = Fault.Plan.empty) () =
   C.create
     {
       Shasta.Config.default with
@@ -21,7 +21,6 @@ let cluster ?(nodes = 4) ?(cpus = 4) ?(variant = Protocol.Config.Smp)
         };
       checks_enabled = checks;
       fault_plan = plan;
-      parallel;
       protocol =
         {
           Protocol.Config.default with

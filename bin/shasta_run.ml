@@ -2,7 +2,26 @@
    cluster.
 
      dune exec bin/shasta_run.exe -- --app LU --procs 8 --sync sm
-*)
+
+   A malformed option value ends the run before it starts, with one
+   [shasta_run: ...] line on stderr and exit code 2. *)
+
+let die msg =
+  prerr_endline ("shasta_run: " ^ msg);
+  exit 2
+
+(* [choice flag table v] — the value [v] of an enumerated option. *)
+let choice flag table v =
+  match List.assoc_opt v table with
+  | Some x -> x
+  | None ->
+      raise
+        (Arg.Bad
+           (Printf.sprintf "unknown %s value %S (expected %s)" flag v
+              (String.concat " | " (List.map fst table))))
+
+let at_least_one flag v =
+  if v < 1 then raise (Arg.Bad (Printf.sprintf "%s must be at least 1, got %d" flag v))
 
 let () =
   let app = ref "LU" in
@@ -21,7 +40,6 @@ let () =
   let migration = ref "static" in
   let migration_threshold = ref Protocol.Config.default.Protocol.Config.migration_threshold in
   let coalesce = ref false in
-  let parallel = ref 1 in
   let gc_stats = ref false in
   let spec_list =
     String.concat ", " (List.map (fun s -> s.Apps.Harness.name) Apps.Registry.all)
@@ -52,54 +70,67 @@ let () =
         Arg.Set_int migration_threshold,
         " consecutive remote exclusive requests before a migratory move" );
       ("--coalesce", Arg.Set coalesce, " batch protocol messages per network link");
-      ( "--parallel",
-        Arg.Set_int parallel,
-        " event-loop domains (conservative parallel mode; 1 = sequential)" );
       ("--gc-stats", Arg.Set gc_stats, " report host GC allocation for the run");
     ]
   in
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "shasta_run [options]";
-  let spec = Apps.Registry.find !app in
-  let plan = if !faults = "" then Fault.Plan.empty else Fault.Plan.of_spec !faults in
-  let shared_size = 8 * 1024 * 1024 in
-  let regions =
-    if !granularity = "" then []
-    else Protocol.Layout.specs_of_spec ~size:shared_size !granularity
-  in
-  let cfg =
-    {
-      Shasta.Config.default with
-      Shasta.Config.fault_plan = plan;
-      Shasta.Config.net =
+  let spec, cl, sync =
+    try
+      at_least_one "--procs" !procs;
+      at_least_one "--nodes" !nodes;
+      at_least_one "--cpus" !cpus;
+      if !procs > !nodes * !cpus then
+        raise
+          (Arg.Bad
+             (Printf.sprintf "--procs %d exceeds the %d processors of --nodes %d x --cpus %d"
+                !procs (!nodes * !cpus) !nodes !cpus));
+      let spec = Apps.Registry.find !app in
+      let sync = choice "--sync" [ ("mp", Apps.Harness.Mp); ("sm", Apps.Harness.Sm) ] !sync in
+      let plan = if !faults = "" then Fault.Plan.empty else Fault.Plan.of_spec !faults in
+      let shared_size = 8 * 1024 * 1024 in
+      let regions =
+        if !granularity = "" then []
+        else Protocol.Layout.specs_of_spec ~size:shared_size !granularity
+      in
+      let cfg =
         {
-          Mchan.Net.default_config with
-          Mchan.Net.nodes = !nodes;
-          cpus_per_node = !cpus;
-          coalescing = (if !coalesce then Some Mchan.Net.default_coalesce else None);
-        };
-      checks_enabled = !checks;
-      protocol =
-        {
-          Protocol.Config.default with
-          Protocol.Config.variant =
-            (match !variant with "base" -> Protocol.Config.Base | _ -> Protocol.Config.Smp);
-          model = (match !model with "sc" -> Protocol.Config.Sc | _ -> Protocol.Config.Rc);
-          line_size = !line;
-          regions;
-          shared_size;
-          homing =
-            (match !migration with
-            | "first-touch" -> Protocol.Config.First_touch
-            | "migratory" -> Protocol.Config.Migratory
-            | "static" -> Protocol.Config.Static
-            | m -> raise (Arg.Bad ("unknown --migration policy " ^ m)));
-          migration_threshold = !migration_threshold;
-        };
-      parallel = !parallel;
-    }
+          Shasta.Config.default with
+          Shasta.Config.fault_plan = plan;
+          Shasta.Config.net =
+            {
+              Mchan.Net.default_config with
+              Mchan.Net.nodes = !nodes;
+              cpus_per_node = !cpus;
+              coalescing = (if !coalesce then Some Mchan.Net.default_coalesce else None);
+            };
+          checks_enabled = !checks;
+          protocol =
+            {
+              Protocol.Config.default with
+              Protocol.Config.variant =
+                choice "--variant"
+                  [ ("smp", Protocol.Config.Smp); ("base", Protocol.Config.Base) ]
+                  !variant;
+              model =
+                choice "--model" [ ("rc", Protocol.Config.Rc); ("sc", Protocol.Config.Sc) ] !model;
+              line_size = !line;
+              regions;
+              shared_size;
+              homing =
+                choice "--migration"
+                  [
+                    ("static", Protocol.Config.Static);
+                    ("first-touch", Protocol.Config.First_touch);
+                    ("migratory", Protocol.Config.Migratory);
+                  ]
+                  !migration;
+              migration_threshold = !migration_threshold;
+            };
+        }
+      in
+      (spec, Shasta.Cluster.create cfg, sync)
+    with Invalid_argument msg | Arg.Bad msg -> die msg
   in
-  let cl = Shasta.Cluster.create cfg in
-  let sync = match !sync with "sm" -> Apps.Harness.Sm | _ -> Apps.Harness.Mp in
   let size = if !size = 0 then None else Some !size in
   let gc_mark = Sim.Stats.gc_mark () in
   let host_t0 = Unix.gettimeofday () in
@@ -125,14 +156,13 @@ let () =
      Printf.printf "coalescing: %d messages in %d frames (%.2f msgs/frame)\n"
        (Mchan.Net.batched_messages net) batches
        (float_of_int (Mchan.Net.batched_messages net) /. float_of_int batches));
-  if !parallel > 1 || !gc_stats then begin
+  if !gc_stats then begin
     let fired = Sim.Engine.events_fired (Shasta.Cluster.sim cl) in
-    Printf.printf "events: %d fired, %.0f events/sec host (%.2f s host wall, %d domains)\n"
-      fired
+    Printf.printf "events: %d fired, %.0f events/sec host (%.2f s host wall)\n" fired
       (float_of_int fired /. Float.max host_wall 1e-9)
-      host_wall !parallel
+      host_wall;
+    Format.printf "gc: %a@." Sim.Stats.pp_gc_delta (Sim.Stats.gc_delta gc_mark)
   end;
-  if !gc_stats then Format.printf "gc: %a@." Sim.Stats.pp_gc_delta (Sim.Stats.gc_delta gc_mark);
   if !stats || !granularity <> "" then
     Format.printf "%a" Shasta.Cluster.pp_layout_report cl;
   if !stats then

@@ -29,9 +29,6 @@ type t = {
   mutable parallel_start : float;
       (** set by the workload once sequential initialisation is done; the
           reported time covers only the parallel phase, as in the paper *)
-  timing_mu : Mutex.t;
-      (** [start_timing] is called from every process — from different
-          lanes in parallel mode, so the max-accumulate is locked *)
 }
 
 type lock = Mp_lock of int | Sm_lock of int (* shared address *)
@@ -46,16 +43,12 @@ let create ?(home_placement = true) cluster ~sync ~nprocs =
     next_lock_id = 0;
     next_barrier_id = 1000;
     parallel_start = 0.0;
-    timing_mu = Mutex.create ();
   }
 
 (** [start_timing t] — called by each process after the initialisation
     barrier; the latest call marks the start of the timed phase. *)
 let start_timing t =
-  let now = C.now t.cluster in
-  Mutex.lock t.timing_mu;
-  t.parallel_start <- Float.max t.parallel_start now;
-  Mutex.unlock t.timing_mu
+  t.parallel_start <- Float.max t.parallel_start (C.now t.cluster)
 
 let make_lock t =
   match t.sync with

@@ -75,12 +75,10 @@ type t = {
   pulse_dst : (unit -> unit) array;
       (** preallocated per-destination-node wakeup pulse thunks, so the
           delivery closure captures one value instead of rebuilding it *)
-  (* Message counters are per {e source} node so that, in parallel mode,
-     each lane only ever touches its own slot; accessors sum. *)
-  remote_by_src : int array;
-  local_by_src : int array;
-  batches_by_src : int array;  (** coalesced frames put on the wire *)
-  batched_by_src : int array;  (** messages those frames carried *)
+  mutable remote : int;
+  mutable local : int;
+  mutable batches : int;  (** coalesced frames put on the wire *)
+  mutable batched : int;  (** messages those frames carried *)
   pending : (int * int, pending) Hashtbl.t;  (** open batches, by (src, dst) *)
   mutable reliable : Reliable.t option;
       (** installed only under a non-empty fault plan; [None] keeps the
@@ -119,10 +117,10 @@ let create ?(plan = Fault.Plan.empty) ?(reliable_cfg = Reliable.default_config)
             { Sim.Engine.lbl_node = n; lbl_block = -1; lbl_kind = Sim.Engine.Message });
       pulse_dst =
         Array.init config.nodes (fun n -> fun () -> Sim.Signal.pulse node_signal.(n));
-      remote_by_src = Array.make config.nodes 0;
-      local_by_src = Array.make config.nodes 0;
-      batches_by_src = Array.make config.nodes 0;
-      batched_by_src = Array.make config.nodes 0;
+      remote = 0;
+      local = 0;
+      batches = 0;
+      batched = 0;
       pending = Hashtbl.create 64;
       reliable = None;
     }
@@ -186,8 +184,8 @@ let flush_batch t ~src_node ~dst_node ~at p =
   p.p_open <- false;
   let delivers = List.rev p.p_delivers in
   p.p_delivers <- [];
-  t.batches_by_src.(src_node) <- t.batches_by_src.(src_node) + 1;
-  t.batched_by_src.(src_node) <- t.batched_by_src.(src_node) + p.p_count;
+  t.batches <- t.batches + 1;
+  t.batched <- t.batched + p.p_count;
   wire_send t ~at ~src_node ~dst_node ~size:p.p_bytes (fun () ->
       List.iter (fun d -> d ()) delivers)
 
@@ -247,7 +245,7 @@ let send t ?at ?(block = -1) ~src_node ~dst_node ~size deliver =
   if src_node = dst_node then begin
     (* Intra-node messages move through shared memory, not the Memory
        Channel: the fault model never touches them. *)
-    t.local_by_src.(src_node) <- t.local_by_src.(src_node) + 1;
+    t.local <- t.local + 1;
     let label = delivery_label t ~dst_node ~block in
     let arrival = now +. t.config.intra_node_latency in
     let pulse = t.pulse_dst.(dst_node) in
@@ -256,7 +254,7 @@ let send t ?at ?(block = -1) ~src_node ~dst_node ~size deliver =
         pulse ())
   end
   else begin
-    t.remote_by_src.(src_node) <- t.remote_by_src.(src_node) + 1;
+    t.remote <- t.remote + 1;
     match t.config.coalescing with
     | Some co -> coalesced_send t co ~now ~src_node ~dst_node ~size deliver
     | None -> (
@@ -272,8 +270,7 @@ let send t ?at ?(block = -1) ~src_node ~dst_node ~size deliver =
                 pulse ()))
   end
 
-let sum = Array.fold_left ( + ) 0
-let remote_messages t = sum t.remote_by_src
-let local_messages t = sum t.local_by_src
-let batches t = sum t.batches_by_src
-let batched_messages t = sum t.batched_by_src
+let remote_messages t = t.remote
+let local_messages t = t.local
+let batches t = t.batches
+let batched_messages t = t.batched

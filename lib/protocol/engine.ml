@@ -145,10 +145,7 @@ and t = {
           this array — only arrival-side checks may consult it. *)
   transfers : (int, transfer) Hashtbl.t;
       (** blocks whose directory entry currently lives in the transport *)
-  rstats : rstat array array;
-      (** per-region protocol traffic counters, sharded by the node that
-          records the event ([rstats.(node).(region)]) so parallel lanes
-          never share a counter; {!region_stats} sums the shards *)
+  rstats : rstat array;  (** per-region protocol traffic counters *)
   mutable migrations : int;  (** home transfers completed *)
   mutable transfer_acks : int;  (** transfer acks received by old homes *)
   mutable bounces : int;  (** requests bounced off a stale or in-flight home *)
@@ -236,15 +233,14 @@ let create ~cfg ~net =
       transfer_acks = 0;
       bounces = 0;
       rstats =
-        Array.init (Mchan.Net.config net).Mchan.Net.nodes (fun _ ->
-            Array.init (Layout.n_regions layout) (fun _ ->
-                {
-                  r_read_misses = 0;
-                  r_store_misses = 0;
-                  r_invals = 0;
-                  r_recalls = 0;
-                  r_data_bytes = 0;
-                }));
+        Array.init (Layout.n_regions layout) (fun _ ->
+            {
+              r_read_misses = 0;
+              r_store_misses = 0;
+              r_invals = 0;
+              r_recalls = 0;
+              r_data_bytes = 0;
+            });
       initialized = false;
       mutation_fires = 0;
       invariant_checks = 0;
@@ -437,12 +433,11 @@ let init ?homes t =
 (* --- message plumbing --- *)
 
 (* Per-region traffic accounting: payload bytes of every data-carrying
-   message, attributed to the block's region and recorded in the sending
-   node's counter shard. *)
-let count_data t ~node msg =
+   message, attributed to the block's region. *)
+let count_data t msg =
   match msg with
   | Ptypes.Data_reply { block; data; _ } | Ptypes.Writeback { block; data; _ } ->
-      let r = t.rstats.(node).(Layout.block_region t.layout block) in
+      let r = t.rstats.(Layout.block_region t.layout block) in
       r.r_data_bytes <- r.r_data_bytes + Bytes.length data
   | _ -> ()
 
@@ -463,14 +458,14 @@ let msg_block = function
       block
 
 let send_to_domain t ~cur ~from_node dst_domain msg =
-  count_data t ~node:from_node msg;
+  count_data t msg;
   let dst = domain_by_id t dst_domain in
   Mchan.Net.send t.net ~at:!cur ~block:(msg_block msg) ~src_node:from_node
     ~dst_node:dst.dom_node ~size:(Ptypes.msg_size msg) (fun () ->
       Mchan.Mailbox.push dst.dom_mailbox msg)
 
 let send_to_pid t ~cur ~from_node dst_pid msg =
-  count_data t ~node:from_node msg;
+  count_data t msg;
   let pcb = Hashtbl.find t.pcbs dst_pid in
   Mchan.Net.send t.net ~at:!cur ~block:(msg_block msg) ~src_node:from_node
     ~dst_node:pcb.dom.dom_node ~size:(Ptypes.msg_size msg) (fun () ->
@@ -604,7 +599,7 @@ let rec apply_transport t ~at msg =
   | _ -> invalid_arg "apply_transport: not transfer traffic"
 
 and send_transport t ~cur ~from_node dst_domain msg =
-  count_data t ~node:from_node msg;
+  count_data t msg;
   let dst = domain_by_id t dst_domain in
   Mchan.Net.send t.net ~at:!cur ~block:(msg_block msg) ~src_node:from_node
     ~dst_node:dst.dom_node ~size:(Ptypes.msg_size msg) (fun () ->
@@ -619,7 +614,7 @@ let apply_invalidate t d ~cur ~home_domain b =
   let skip_apply = t.cfg.Config.mutation = Some Config.Skip_invalidate in
   let skip_ack = t.cfg.Config.mutation = Some Config.Skip_inval_ack in
   if skip_apply || skip_ack then t.mutation_fires <- t.mutation_fires + 1;
-  let r = t.rstats.(d.dom_node).(Layout.block_region t.layout b) in
+  let r = t.rstats.(Layout.block_region t.layout b) in
   r.r_invals <- r.r_invals + 1;
   if not skip_apply then begin
     invalidate_block_data t d b;
@@ -659,7 +654,7 @@ let complete_recall t d ~cur b ~to_shared ~home_domain =
    via an explicit message otherwise (Section 2.3). *)
 let apply_recall t d ~cur ~servicer b ~to_shared ~home_domain =
   if dbg_on then dbg b "[%.9f] RECALL at dom%d blk=%d to_shared=%b" !cur d.dom_id b to_shared;
-  let r = t.rstats.(d.dom_node).(Layout.block_region t.layout b) in
+  let r = t.rstats.(Layout.block_region t.layout b) in
   r.r_recalls <- r.r_recalls + 1;
   (* Block intra-node exclusive grants while the recall is in flight. *)
   set_block_state_shared d t b Ptypes.Pending;
@@ -942,12 +937,7 @@ and observe_request t home entry ~kind ~from_domain =
           (* Gate on the block's region being hot enough, per the
              region-level miss counters — cold regions never migrate. *)
           let ri = Layout.block_region t.layout entry.Directory.block in
-          let region_misses =
-            Array.fold_left
-              (fun acc per_node ->
-                acc + per_node.(ri).r_read_misses + per_node.(ri).r_store_misses)
-              0 t.rstats
-          in
+          let region_misses = t.rstats.(ri).r_read_misses + t.rstats.(ri).r_store_misses in
           if
             from_domain <> home.dom_id
             && entry.Directory.excl_streak >= t.cfg.Config.migration_threshold
@@ -1591,7 +1581,7 @@ let issue pcb b kind mkind ?(sc_store = None) () =
         old.m_done
   | None -> ());
   Hashtbl.replace pcb.outstanding b miss;
-  (let r = t.rstats.(pcb.dom.dom_node).(Layout.block_region t.layout b) in
+  (let r = t.rstats.(Layout.block_region t.layout b) in
    match mkind with
    | MRead -> r.r_read_misses <- r.r_read_misses + 1
    | MStore | MSc | MPrefetch -> r.r_store_misses <- r.r_store_misses + 1);
@@ -2016,21 +2006,8 @@ let migration_by_node t =
   a
 
 (** Per-region protocol traffic counters, indexed like the layout's
-    regions.  A fresh snapshot summing the per-node shards. *)
-let region_stats t =
-  Array.init (Layout.n_regions t.layout) (fun ri ->
-      Array.fold_left
-        (fun acc per_node ->
-          let r = per_node.(ri) in
-          {
-            r_read_misses = acc.r_read_misses + r.r_read_misses;
-            r_store_misses = acc.r_store_misses + r.r_store_misses;
-            r_invals = acc.r_invals + r.r_invals;
-            r_recalls = acc.r_recalls + r.r_recalls;
-            r_data_bytes = acc.r_data_bytes + r.r_data_bytes;
-          })
-        { r_read_misses = 0; r_store_misses = 0; r_invals = 0; r_recalls = 0; r_data_bytes = 0 }
-        t.rstats)
+    regions.  A fresh snapshot, unaffected by later traffic. *)
+let region_stats t = Array.map (fun r -> { r with r_read_misses = r.r_read_misses }) t.rstats
 
 (** [pp_layout_report ppf t] — per-region protocol traffic table.  The
     cluster layer wraps this with allocator fragmentation columns. *)

@@ -27,7 +27,7 @@ type t = {
   sync : Sync.t;
   mutable procs : (Sim.Proc.t * Runtime.t * bool) list;  (* proc, runtime, serve *)
   mutable n_app : int;
-  done_count : int Atomic.t;  (** bumped from any lane in parallel mode *)
+  mutable done_count : int;
   allocs : region_alloc array;
   mutable initialized : bool;
   mutable started_at : float;
@@ -48,7 +48,7 @@ let create cfg =
     sync;
     procs = [];
     n_app = 0;
-    done_count = Atomic.make 0;
+    done_count = 0;
     allocs =
       Array.init (Protocol.Layout.n_regions layout) (fun ri ->
           let r = Protocol.Layout.region layout ri in
@@ -124,12 +124,12 @@ let spawn ?(serve = true) ?(priority = 0) t ~cpu name body =
            quiesce with a miss still in flight. *)
         Runtime.mb h;
         if serve then begin
-          Atomic.incr t.done_count;
+          t.done_count <- t.done_count + 1;
           pulse_all t;
           (* The post-exit serve loop is idle work: cede the CPU to any
              still-running application process. *)
           (Sim.Proc.self ()).Sim.Proc.yield_waiting <- true;
-          Sim.Proc.stall (fun () -> Atomic.get t.done_count >= t.n_app)
+          Sim.Proc.stall (fun () -> t.done_count >= t.n_app)
         end)
   in
   let h = Runtime.create ~cfg:t.cfg ~peng:t.peng ~sync:t.sync proc in
@@ -146,38 +146,12 @@ let init ?homes t =
 
 exception Worker_failed of string * exn
 
-(* The conservative parallel mode only covers the exact, perfectly
-   reliable, statically homed configuration — every excluded feature
-   either shares mutable state across nodes (coalescing batches,
-   per-message invariant sweeps, migrating directory entries) or has no
-   meaning once the global tie-set is split across lanes (non-Fifo
-   schedules, fault plans with their retransmit timers). *)
-let check_parallel_config cfg =
-  let bad what = invalid_arg ("Shasta.Cluster.run: parallel mode excludes " ^ what) in
-  (match cfg.Config.schedule with Sim.Engine.Fifo -> () | _ -> bad "non-Fifo schedules");
-  if not (Fault.Plan.is_empty cfg.Config.fault_plan) then bad "fault plans";
-  if cfg.Config.net.Mchan.Net.coalescing <> None then bad "message coalescing";
-  if cfg.Config.protocol.Protocol.Config.homing <> Protocol.Config.Static then
-    bad "home migration";
-  if cfg.Config.protocol.Protocol.Config.check_invariants then
-    bad "per-message invariant checks (use check_quiescent after the run)"
-
 (** [run t] — run the simulation until quiescence (or [until]); re-raises
     the first worker failure.  Returns elapsed virtual time since
-    [init].  With [cfg.parallel > 1] the run uses the conservative
-    parallel engine: per-node event lanes on real domains with the
-    Memory Channel one-way latency as the lookahead window. *)
+    [init]. *)
 let run ?(until = 3600.0) t =
   init t;
-  let domains = t.cfg.Config.parallel in
-  if domains > 1 then begin
-    check_parallel_config t.cfg;
-    ignore
-      (Sim.Par.run ~until ~domains
-         ~lookahead:t.cfg.Config.net.Mchan.Net.one_way_latency (sim t)
-         ~nodes:t.cfg.Config.net.Mchan.Net.nodes)
-  end
-  else ignore (Sim.Engine.run ~until (sim t));
+  ignore (Sim.Engine.run ~until (sim t));
   List.iter
     (fun ((p : Sim.Proc.t), _, _) ->
       match p.Sim.Proc.failure with

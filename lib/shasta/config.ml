@@ -26,11 +26,6 @@ type t = {
   schedule : Sim.Engine.schedule;
       (** event tie-break policy; [Fifo] is the deterministic default,
           the others drive the schedule explorer of [lib/check] *)
-  parallel : int;
-      (** event-loop domains for the conservative parallel mode; 1 (the
-          default) is the exact sequential engine.  > 1 requires the
-          [Fifo] schedule, an empty fault plan, no coalescing, static
-          homing and per-message invariant checks off *)
 }
 
 let default =
@@ -43,7 +38,6 @@ let default =
     private_mem_size = 1 lsl 20;
     fault_plan = Fault.Plan.empty;
     schedule = Sim.Engine.Fifo;
-    parallel = 1;
   }
 
 (** [uniprocessor] — one processor, checks off: the "standard

@@ -39,13 +39,9 @@ type t = {
   mutable order : int list;  (** registration order (most recent first) *)
   mutable pids : int array;  (** [order] reversed, rebuilt on register *)
   eps : (int, endpoint) Hashtbl.t;
-  (* Lock and barrier state tables are sharded by the manager's node:
-     a given id's state lives in its manager node's table, so in
-     parallel mode each table is only ever grown and mutated by that
-     node's lane. *)
-  locks : (int, lock_state) Hashtbl.t array;
-  barriers : (int, barrier_state) Hashtbl.t array;
-  messages_by_node : int array;  (** per sending node; accessor sums *)
+  locks : (int, lock_state) Hashtbl.t;  (** kept by each lock's manager *)
+  barriers : (int, barrier_state) Hashtbl.t;  (** kept by each barrier's manager *)
+  mutable messages : int;
 }
 
 let create ~net ~costs =
@@ -57,9 +53,9 @@ let create ~net ~costs =
     order = [];
     pids = [||];
     eps = Hashtbl.create 32;
-    locks = Array.init nodes (fun _ -> Hashtbl.create 16);
-    barriers = Array.init nodes (fun _ -> Hashtbl.create 8);
-    messages_by_node = Array.make nodes 0;
+    locks = Hashtbl.create 16;
+    barriers = Hashtbl.create 8;
+    messages = 0;
   }
 
 let register t ~pid ~node =
@@ -83,29 +79,24 @@ let endpoint t pid = Hashtbl.find t.eps pid
 (** Managers are assigned round-robin over registration order. *)
 let manager_of t id = t.pids.(id mod Array.length t.pids)
 
-(* [node] must be the manager's node — the shard all of this id's state
-   lives in (callers are either the servicing handler at that node or
-   the manager's own fast path). *)
-let lock_state t ~node l =
-  let tbl = t.locks.(node) in
-  match Hashtbl.find_opt tbl l with
+let lock_state t l =
+  match Hashtbl.find_opt t.locks l with
   | Some s -> s
   | None ->
       let s = { taken = false; waiters = Queue.create () } in
-      Hashtbl.replace tbl l s;
+      Hashtbl.replace t.locks l s;
       s
 
-let barrier_state t ~node b =
-  let tbl = t.barriers.(node) in
-  match Hashtbl.find_opt tbl b with
+let barrier_state t b =
+  match Hashtbl.find_opt t.barriers b with
   | Some s -> s
   | None ->
       let s = { gen = 0; arrived = [] } in
-      Hashtbl.replace tbl b s;
+      Hashtbl.replace t.barriers b s;
       s
 
 let send t ~cur ~from_node msg ~to_node =
-  t.messages_by_node.(from_node) <- t.messages_by_node.(from_node) + 1;
+  t.messages <- t.messages + 1;
   Mchan.Net.send t.net ~at:!cur ~src_node:from_node ~dst_node:to_node ~size:32 (fun () ->
       Mchan.Mailbox.push t.node_box.(to_node) msg)
 
@@ -115,7 +106,7 @@ let handle t ~cur ~node msg =
   cur := !cur +. c;
   match msg with
   | Acquire { lock; from } ->
-      let s = lock_state t ~node lock in
+      let s = lock_state t lock in
       if s.taken then Queue.push from s.waiters
       else begin
         s.taken <- true;
@@ -123,7 +114,7 @@ let handle t ~cur ~node msg =
         send t ~cur ~from_node:node (Grant { lock; to_pid = from }) ~to_node:ep.ep_node
       end
   | Release { lock } ->
-      let s = lock_state t ~node lock in
+      let s = lock_state t lock in
       (match Queue.take_opt s.waiters with
       | Some next ->
           (* Queue-based handoff: the lock passes directly to the next
@@ -133,7 +124,7 @@ let handle t ~cur ~node msg =
       | None -> s.taken <- false)
   | Grant { lock; to_pid } -> Hashtbl.replace (endpoint t to_pid).granted lock ()
   | Arrive { barrier; from; parties } ->
-      let s = barrier_state t ~node barrier in
+      let s = barrier_state t barrier in
       s.arrived <- from :: s.arrived;
       if List.length s.arrived >= parties then begin
         s.gen <- s.gen + 1;
@@ -180,8 +171,8 @@ let stall_sync ep net pred =
     microsecond and no messages. *)
 let acquire t ep lock =
   let mgr = manager_of t lock in
-  if mgr = ep.ep_pid && not (lock_state t ~node:ep.ep_node lock).taken then begin
-    (lock_state t ~node:ep.ep_node lock).taken <- true;
+  if mgr = ep.ep_pid && not (lock_state t lock).taken then begin
+    (lock_state t lock).taken <- true;
     Sim.Proc.work t.costs.Protocol.Config.lock_acquire_queue
   end
   else begin
@@ -196,8 +187,8 @@ let acquire t ep lock =
 
 let release t ep lock =
   let mgr = manager_of t lock in
-  if mgr = ep.ep_pid && Queue.is_empty (lock_state t ~node:ep.ep_node lock).waiters then begin
-    (lock_state t ~node:ep.ep_node lock).taken <- false;
+  if mgr = ep.ep_pid && Queue.is_empty (lock_state t lock).waiters then begin
+    (lock_state t lock).taken <- false;
     Sim.Proc.work (t.costs.Protocol.Config.lock_acquire_queue /. 2.0)
   end
   else begin
@@ -219,4 +210,4 @@ let barrier t ep ~id ~parties =
   stall_sync ep t.net (fun () ->
       Option.value (Hashtbl.find_opt ep.reached_gen id) ~default:0 >= gen)
 
-let messages t = Array.fold_left ( + ) 0 t.messages_by_node
+let messages t = t.messages

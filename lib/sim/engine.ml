@@ -22,18 +22,9 @@
 
     Every event optionally carries a {!label} — who the event belongs to
     (a node), which coherence block it touches, and what kind of thing
-    it is.  The labels change nothing about sequential execution; they
-    exist so that a {!Guided} scheduler (the DPOR explorer) can see the
-    dependency footprint of each runnable event, and so that the
-    conservative parallel mode ({!Par}) can route each event to its
-    node's lane.
-
-    Parallel mode: {!par_install} splits the event store into per-node
-    {e lanes}; while a lane is being driven (on a real domain, under
-    {!Par.run}) the clock and [at]/[after] are lane-local, and an event
-    scheduled onto a different node's lane is buffered and merged at the
-    next lookahead-window barrier.  With [par = None] (the default)
-    every code path below is exactly the sequential one. *)
+    it is.  The labels change nothing about execution; they exist so
+    that a {!Guided} scheduler (the DPOR explorer) can see the
+    dependency footprint of each runnable event. *)
 
 (** What an event may touch, conservatively.  [-1] means "unknown /
     all": an unlabeled event must be treated as dependent with every
@@ -96,17 +87,13 @@ type schedule =
       (** like [Seeded], plus each [at] independently delays the event
           by a uniform amount in [0, max_delay] with probability [prob]
           (delays only — events never fire earlier than requested) *)
-  | Choose of (int -> int)
-      (** [f n] picks which of the [n] currently-tied events fires next
-          (entries are presented in insertion order); used for
-          exhaustive exploration of small tie-sets.  Out-of-range
-          answers fall back to index 0. *)
   | Guided of (choice array -> int)
-      (** like [Choose], but the callback sees each candidate's identity
-          and dependency footprint, and is consulted on {e every} fire —
-          including singleton tie-sets — so an explorer can follow the
-          full fired-event trace.  Out-of-range answers fall back to
-          index 0. *)
+      (** [f cands] picks which of the currently-tied events fires next
+          (candidates are presented in insertion order, each with its
+          identity and dependency footprint).  It is consulted on
+          {e every} fire — including singleton tie-sets — so an explorer
+          can follow the full fired-event trace.  Out-of-range answers
+          fall back to index 0. *)
   | Guided_jittered of {
       seed : int;
       prob : float;
@@ -123,7 +110,6 @@ type sched_state =
   | S_fifo
   | S_seeded of Rng.t
   | S_jittered of { ties : Rng.t; delays : Rng.t; prob : float; max_delay : float }
-  | S_choose of (int -> int)
   | S_guided of {
       choose : choice array -> int;
       delays : (Rng.t * float * float) option;  (* rng, prob, max_delay *)
@@ -132,9 +118,8 @@ type sched_state =
 (* --- the flat event store --- *)
 
 (* A structure-of-arrays binary min-heap over (time, seq) with label and
-   run-thunk payload arrays.  Same layout and sift moves as {!Heap}, but
-   monomorphic and with the entry record split across four arrays so
-   that push/drop never allocate. *)
+   run-thunk payload arrays: the entry record is split across four
+   arrays so that push/drop never allocate. *)
 type eheap = {
   mutable q_time : float array;
   mutable q_seq : int array;
@@ -229,42 +214,6 @@ let q_drop h =
   end
   else runs.(0) <- nop
 
-(* --- per-node lanes for the conservative parallel mode --- *)
-
-(* An event scheduled from one lane onto another; buffered on the source
-   lane and merged (in deterministic (time, src, src_seq) order) at the
-   next window barrier.  [x_src_seq] is drawn from the source lane's own
-   insertion counter, so the merge order is a pure function of each
-   lane's deterministic execution. *)
-type cross = {
-  x_dst : int;
-  x_time : float;
-  x_src : int;
-  x_src_seq : int;
-  x_label : label;
-  x_run : unit -> unit;
-}
-
-type lane = {
-  l_id : int;  (** the node this lane belongs to *)
-  l_heap : eheap;
-  mutable l_now : float;
-  mutable l_seq : int;
-  mutable l_fired : int;
-  mutable l_out : cross list;  (** cross-lane pushes made by this lane, newest first *)
-  mutable l_out_pulses : (int * (unit -> unit)) list;
-      (** deferred foreign-lane signal pulses (dst node, pulse thunk),
-          newest first; executed at the barrier in the target lane's
-          context *)
-}
-
-type par = {
-  p_lanes : lane array;  (** one per node *)
-  mutable p_window_end : float;
-      (** events with [time < p_window_end] may fire in the current
-          window; a cross-lane push below it is a causality violation *)
-}
-
 type t = {
   mutable now : float;
   mutable seq : int;
@@ -276,30 +225,13 @@ type t = {
   mutable tb_seq : int array;
   mutable tb_label : label array;
   mutable tb_run : (unit -> unit) array;
-  mutable par : par option;  (** [None] = sequential (the default) *)
 }
-
-(* The lane currently being driven by this domain (set by {!Par.run}
-   around each window, and by the barrier while applying deferred
-   pulses).  Sequential code never consults it: every fast path is
-   guarded by [t.par == None] first. *)
-let dls_lane : lane option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let current_lane () = !(Domain.DLS.get dls_lane)
-let set_current_lane l = Domain.DLS.get dls_lane := l
 
 (** Raised by [at] when asked to schedule an event before [now].  The
     payload records where the simulation stood so the offending call
     site can be located from a log alone. *)
 exception
   Past_event of { requested : float; now : float; fired : int; pending : int }
-
-(** Raised in parallel mode when an event is scheduled onto another
-    node's lane {e inside} the current lookahead window — i.e. the
-    declared lookahead (the minimum cross-node latency) was violated.
-    A conservative run must never see this. *)
-exception Cross_window of { dst : int; time : float; window_end : float }
 
 let () =
   Printexc.register_printer (function
@@ -309,12 +241,6 @@ let () =
              "Sim.Engine.Past_event { requested = %.9g; now = %.9g; fired = \
               %d; pending = %d }"
              requested now fired pending)
-    | Cross_window { dst; time; window_end } ->
-        Some
-          (Printf.sprintf
-             "Sim.Engine.Cross_window { dst = %d; time = %.9g; window_end = \
-              %.9g }"
-             dst time window_end)
     | _ -> None)
 
 let create ?(schedule = Fifo) () =
@@ -325,7 +251,6 @@ let create ?(schedule = Fifo) () =
     | Jittered { seed; prob; max_delay } ->
         let ties = Rng.create seed in
         S_jittered { ties; delays = Rng.split ties; prob; max_delay }
-    | Choose f -> S_choose f
     | Guided f -> S_guided { choose = f; delays = None }
     | Guided_jittered { seed; prob; max_delay; choose } ->
         S_guided { choose; delays = Some (Rng.create seed, prob, max_delay) }
@@ -339,29 +264,16 @@ let create ?(schedule = Fifo) () =
     tb_seq = [||];
     tb_label = [||];
     tb_run = [||];
-    par = None;
   }
 
-let now t =
-  match t.par with
-  | None -> t.now
-  | Some _ -> ( match current_lane () with Some l -> l.l_now | None -> t.now)
-
-let events_fired t =
-  match t.par with
-  | None -> t.fired
-  | Some p -> Array.fold_left (fun acc l -> acc + l.l_fired) t.fired p.p_lanes
-
-let pending t =
-  match t.par with
-  | None -> t.heap.q_size
-  | Some p -> Array.fold_left (fun acc l -> acc + l.l_heap.q_size) t.heap.q_size p.p_lanes
+let now t = t.now
+let events_fired t = t.fired
+let pending t = t.heap.q_size
 
 (** [at t ?label time f] schedules [f] to fire at absolute [time].
     Requires [time >= now t].  [label] (default: unknown) declares the
-    event's dependency footprint for {!Guided} exploration and names the
-    owning lane in parallel mode. *)
-let at_seq t label time f =
+    event's dependency footprint for {!Guided} exploration. *)
+let at t ?(label = no_label) time f =
   if time < t.now then
     raise
       (Past_event
@@ -377,44 +289,7 @@ let at_seq t label time f =
   q_push t.heap ~time ~seq:t.seq ~label f;
   t.seq <- t.seq + 1
 
-(* Lane-side scheduling: an event for this lane's own node goes straight
-   into the lane heap; one for another node is buffered for the barrier
-   merge (and must land at or beyond the window end — the lookahead
-   guarantee).  Unlabeled events stay on the scheduling lane.  Parallel
-   mode is Fifo-only, so there is no jitter path here. *)
-let at_lane p l label time f =
-  if time < l.l_now then
-    raise
-      (Past_event
-         { requested = time; now = l.l_now; fired = l.l_fired; pending = l.l_heap.q_size });
-  let dst =
-    if label.lbl_node >= 0 && label.lbl_node < Array.length p.p_lanes then
-      label.lbl_node
-    else l.l_id
-  in
-  if dst = l.l_id then begin
-    q_push l.l_heap ~time ~seq:l.l_seq ~label f;
-    l.l_seq <- l.l_seq + 1
-  end
-  else begin
-    if time < p.p_window_end then
-      raise (Cross_window { dst; time; window_end = p.p_window_end });
-    l.l_out <-
-      { x_dst = dst; x_time = time; x_src = l.l_id; x_src_seq = l.l_seq; x_label = label; x_run = f }
-      :: l.l_out;
-    l.l_seq <- l.l_seq + 1
-  end
-
-let at t ?(label = no_label) time f =
-  match t.par with
-  | None -> at_seq t label time f
-  | Some p -> (
-      match current_lane () with
-      | Some l -> at_lane p l label time f
-      | None -> at_seq t label time f)
-
-(** [after t ?label dt f] schedules [f] to fire [dt] seconds from now
-    (the lane clock in parallel mode). *)
+(** [after t ?label dt f] schedules [f] to fire [dt] seconds from now. *)
 let after t ?label dt f = at t ?label (now t +. dt) f
 
 (* --- tie-set machinery (non-Fifo schedules) --- *)
@@ -481,12 +356,6 @@ let step t =
         let time, n = pop_ties t in
         if n = 1 then fire_choice t time 1 0
         else fire_choice t time n (Rng.int rng n)
-    | S_choose f ->
-        let time, n = pop_ties t in
-        if n = 1 then fire_choice t time 1 0
-        else
-          let i = f n in
-          fire_choice t time n (if i < 0 || i >= n then 0 else i)
     | S_guided { choose = f; _ } ->
         let time, n = pop_ties t in
         let cands =
@@ -552,92 +421,3 @@ let run ?until ?max_events t =
         end
       done);
   !reason
-
-(* --- parallel-mode plumbing (driven by {!Par}) --- *)
-
-(** [par_install t ~nodes] splits the event store into [nodes] per-node
-    lanes, routing every pending event to its label's lane (unlabeled
-    events go to lane 0).  Requires the [Fifo] schedule: the other
-    policies permute same-time ties globally, which has no meaning once
-    the tie-set is split across lanes. *)
-let par_install t ~nodes =
-  (match t.par with Some _ -> invalid_arg "Engine.par_install: already parallel" | None -> ());
-  (match t.sched with
-  | S_fifo -> ()
-  | _ -> invalid_arg "Engine.par_install: parallel mode requires the Fifo schedule");
-  let lanes =
-    Array.init nodes (fun i ->
-        {
-          l_id = i;
-          l_heap = q_create ();
-          l_now = t.now;
-          l_seq = 0;
-          l_fired = 0;
-          l_out = [];
-          l_out_pulses = [];
-        })
-  in
-  let h = t.heap in
-  while h.q_size > 0 do
-    let time = h.q_time.(0) and label = h.q_label.(0) and run = h.q_run.(0) in
-    q_drop h;
-    let dst = if label.lbl_node >= 0 && label.lbl_node < nodes then label.lbl_node else 0 in
-    let l = lanes.(dst) in
-    q_push l.l_heap ~time ~seq:l.l_seq ~label run;
-    l.l_seq <- l.l_seq + 1
-  done;
-  let p = { p_lanes = lanes; p_window_end = t.now } in
-  t.par <- Some p;
-  p
-
-(** [par_remove t] folds the lanes back into the sequential store: fired
-    counts are added up and leftover events (a deadline stop leaves some
-    pending) are re-inserted in deterministic (time, lane, lane-seq)
-    order with fresh global sequence numbers. *)
-let par_remove t =
-  match t.par with
-  | None -> ()
-  | Some p ->
-      t.par <- None;
-      let leftovers = ref [] in
-      Array.iter
-        (fun l ->
-          t.fired <- t.fired + l.l_fired;
-          t.now <- Float.max t.now l.l_now;
-          let h = l.l_heap in
-          while h.q_size > 0 do
-            leftovers :=
-              (h.q_time.(0), l.l_id, h.q_seq.(0), h.q_label.(0), h.q_run.(0)) :: !leftovers;
-            q_drop h
-          done)
-        p.p_lanes;
-      List.iter
-        (fun (time, _, _, label, run) ->
-          q_push t.heap ~time ~seq:t.seq ~label run;
-          t.seq <- t.seq + 1)
-        (List.sort
-           (fun (ta, la, sa, _, _) (tb, lb, sb, _, _) ->
-             match Float.compare ta tb with
-             | 0 -> ( match compare la lb with 0 -> compare sa sb | c -> c)
-             | c -> c)
-           !leftovers)
-
-(** [par_foreign t label] — are we inside a parallel lane while [label]
-    names a different node's lane?  Used by {!Signal.pulse} to decide
-    whether a pulse must be deferred to the window barrier instead of
-    mutating another lane's waiter list. *)
-let par_foreign t label =
-  match t.par with
-  | None -> false
-  | Some _ -> (
-      match current_lane () with
-      | None -> false
-      | Some l -> label.lbl_node >= 0 && label.lbl_node <> l.l_id)
-
-(** [par_defer_pulse t label thunk] — buffer a foreign-lane pulse on the
-    current lane; the barrier replays it in the target lane's context at
-    the window boundary. *)
-let par_defer_pulse _t label thunk =
-  match current_lane () with
-  | Some l -> l.l_out_pulses <- (label.lbl_node, thunk) :: l.l_out_pulses
-  | None -> thunk ()

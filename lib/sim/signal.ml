@@ -25,7 +25,7 @@ let wait t f = t.waiters <- f :: t.waiters
 (** [pulse t] wakes every waiter registered so far.  Waiters registered
     during the pulse (e.g. a woken process immediately waiting again) are
     kept for the next pulse. *)
-let pulse_here t =
+let pulse t =
   t.pulses <- t.pulses + 1;
   match t.waiters with
   | [] -> ()
@@ -33,11 +33,3 @@ let pulse_here t =
       t.waiters <- [];
       (* Fire in registration order for determinism. *)
       List.iter (fun f -> Engine.after t.engine ~label:t.label 0.0 f) (List.rev ws)
-
-let pulse t =
-  (* In parallel mode a pulse of another node's signal must not touch
-     that lane's waiter list from here: defer the whole pulse to the
-     window barrier, which replays it in the target lane's context. *)
-  if Engine.par_foreign t.engine t.label then
-    Engine.par_defer_pulse t.engine t.label (fun () -> pulse_here t)
-  else pulse_here t

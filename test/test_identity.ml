@@ -26,13 +26,12 @@
 module C = Shasta.Cluster
 module R = Shasta.Runtime
 
-let cluster ?(nodes = 4) ?(cpus = 4) ?(parallel = 1) () =
+let cluster ?(nodes = 4) ?(cpus = 4) () =
   C.create
     {
       Shasta.Config.default with
       Shasta.Config.net =
         { Mchan.Net.default_config with Mchan.Net.nodes; cpus_per_node = cpus };
-      parallel;
       protocol =
         { Protocol.Config.default with Protocol.Config.shared_size = 8 * 1024 * 1024 };
     }
@@ -144,57 +143,7 @@ let test_fifo_identity () =
       let want = In_channel.with_open_bin golden_file In_channel.input_all in
       Alcotest.(check string) "Fifo output matches committed golden byte-for-byte" want got
 
-(* --- Parallel cross-validation --------------------------------------- *)
-
-(* The conservative parallel driver must cross-validate against the
-   sequential Fifo engine: every run validates and the protocol sweeps
-   clean afterwards.  Elapsed time is near- but not bit-identical to
-   sequential — a cross-lane event merged at a window barrier receives a
-   fresh sequence number, so a same-time local/cross pair on one lane
-   can fire in the opposite order from the sequential global numbering.
-   That is a permutation of causally-concurrent events (the same class
-   a [Seeded] schedule explores), so we bound the drift tightly instead
-   of requiring equality.  The merge order itself is deterministic in
-   [(time, src lane, src seq)] and independent of how lanes are dealt to
-   workers, so parallel runs at different domain counts must agree
-   bit-for-bit with each other. *)
-let par_run app ~parallel =
-  let spec = Apps.Registry.find app in
-  let cl = cluster ~nodes:4 ~cpus:1 ~parallel () in
-  let elapsed, ok = Apps.Harness.run_spec cl spec ~nprocs:4 ~sync:Apps.Harness.Mp () in
-  let quiescent = Protocol.Engine.check_quiescent (C.protocol_engine cl) in
-  (elapsed, ok, quiescent)
-
-let test_parallel_cross_validation () =
-  List.iter
-    (fun app ->
-      let seq_elapsed, seq_ok, _ = par_run app ~parallel:1 in
-      Alcotest.(check bool) (app ^ " sequential validated") true seq_ok;
-      let par_elapsed =
-        List.map
-          (fun parallel ->
-            let elapsed, ok, quiescent = par_run app ~parallel in
-            Alcotest.(check bool) (Printf.sprintf "%s par%d validated" app parallel) true ok;
-            Alcotest.(check (list string))
-              (Printf.sprintf "%s par%d quiescent" app parallel)
-              [] quiescent;
-            Alcotest.(check bool)
-              (Printf.sprintf "%s par%d elapsed within 1e-3 of sequential" app parallel)
-              true
-              (abs_float (elapsed -. seq_elapsed) /. seq_elapsed < 1e-3);
-            elapsed)
-          [ 2; 4 ]
-      in
-      match par_elapsed with
-      | [ e2; e4 ] ->
-          Alcotest.(check int64)
-            (app ^ " par2 and par4 bit-identical")
-            (Int64.bits_of_float e2) (Int64.bits_of_float e4)
-      | _ -> assert false)
-    fig3_apps
-
 let suite =
   [
     Alcotest.test_case "Fifo bit-identity vs golden" `Slow test_fifo_identity;
-    Alcotest.test_case "parallel agrees with sequential" `Slow test_parallel_cross_validation;
   ]

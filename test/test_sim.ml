@@ -4,32 +4,51 @@ open Sim
 
 let check_f = Alcotest.(check (float 1e-12))
 
+(* The engine's event store, driven directly.  An entry's payload rides
+   in its run thunk: [heap_pop] fires the root's thunk, which leaves the
+   payload in the store's [cell]. *)
+type 'a store = { h : Engine.eheap; cell : 'a option ref }
+
+let heap_create () = { h = Engine.q_create (); cell = ref None }
+
+let heap_push st ~time ~seq v =
+  Engine.q_push st.h ~time ~seq ~label:Engine.no_label (fun () -> st.cell := Some v)
+
+let heap_pop st =
+  if st.h.Engine.q_size = 0 then None
+  else begin
+    let time = st.h.Engine.q_time.(0) in
+    st.h.Engine.q_run.(0) ();
+    Engine.q_drop st.h;
+    Some (time, Option.get !(st.cell))
+  end
+
 let test_heap_order () =
-  let h = Heap.create () in
-  Heap.push h ~time:3.0 ~seq:0 "c";
-  Heap.push h ~time:1.0 ~seq:1 "a";
-  Heap.push h ~time:2.0 ~seq:2 "b";
-  Heap.push h ~time:1.0 ~seq:3 "a2";
+  let h = heap_create () in
+  heap_push h ~time:3.0 ~seq:0 "c";
+  heap_push h ~time:1.0 ~seq:1 "a";
+  heap_push h ~time:2.0 ~seq:2 "b";
+  heap_push h ~time:1.0 ~seq:3 "a2";
   let popped = ref [] in
   let rec drain () =
-    match Heap.pop h with
+    match heap_pop h with
     | None -> ()
-    | Some e ->
-        popped := e.Heap.value :: !popped;
+    | Some (_, v) ->
+        popped := v :: !popped;
         drain ()
   in
   drain ();
   Alcotest.(check (list string)) "order" [ "a"; "a2"; "b"; "c" ] (List.rev !popped)
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
+  let h = heap_create () in
   for i = 0 to 99 do
-    Heap.push h ~time:1.0 ~seq:i i
+    heap_push h ~time:1.0 ~seq:i i
   done;
   for i = 0 to 99 do
-    match Heap.pop h with
+    match heap_pop h with
     | None -> Alcotest.fail "heap empty too early"
-    | Some e -> Alcotest.(check int) "fifo" i e.Heap.value
+    | Some (_, v) -> Alcotest.(check int) "fifo" i v
   done
 
 let test_engine_run () =
@@ -106,10 +125,10 @@ let test_engine_seeded_deterministic () =
 
 let test_engine_choose_ties () =
   Alcotest.(check (list int)) "always-last reverses the tie set" [ 5; 4; 3; 2; 1; 0 ]
-    (firing_order (Engine.Choose (fun n -> n - 1)));
+    (firing_order (Engine.Guided (fun c -> Array.length c - 1)));
   Alcotest.(check (list int)) "out-of-range choice falls back to fifo"
     [ 0; 1; 2; 3; 4; 5 ]
-    (firing_order (Engine.Choose (fun _ -> 99)))
+    (firing_order (Engine.Guided (fun _ -> 99)))
 
 let test_engine_jittered_bounds () =
   let schedule = Engine.Jittered { seed = 5; prob = 1.0; max_delay = 0.5 } in
@@ -433,10 +452,10 @@ let qcheck_heap_sorted =
   QCheck.Test.make ~name:"heap pops sorted" ~count:200
     QCheck.(list (pair (float_bound_exclusive 1000.0) small_nat))
     (fun entries ->
-      let h = Heap.create () in
-      List.iteri (fun i (t, v) -> Heap.push h ~time:t ~seq:i v) entries;
+      let h = heap_create () in
+      List.iteri (fun i (t, v) -> heap_push h ~time:t ~seq:i v) entries;
       let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some e -> drain (e.Heap.time :: acc)
+        match heap_pop h with None -> List.rev acc | Some (t, _) -> drain (t :: acc)
       in
       let times = drain [] in
       List.sort compare times = times)
@@ -448,13 +467,9 @@ let qcheck_heap_stable_reference =
     QCheck.(list (pair (int_bound 5) small_nat))
     (fun entries ->
       let entries = List.map (fun (t, v) -> (float_of_int t, v)) entries in
-      let h = Heap.create () in
-      List.iteri (fun i (t, v) -> Heap.push h ~time:t ~seq:i v) entries;
-      let rec drain acc =
-        match Heap.pop h with
-        | None -> List.rev acc
-        | Some e -> drain ((e.Heap.time, e.Heap.value) :: acc)
-      in
+      let h = heap_create () in
+      List.iteri (fun i (t, v) -> heap_push h ~time:t ~seq:i v) entries;
+      let rec drain acc = match heap_pop h with None -> List.rev acc | Some e -> drain (e :: acc) in
       drain []
       = List.stable_sort (fun (t1, _) (t2, _) -> compare t1 t2) entries)
 
@@ -467,7 +482,7 @@ let qcheck_heap_interleaved =
   QCheck.Test.make ~name:"heap push/pop interleavings match reference model" ~count:300
     QCheck.(list (option (pair (int_bound 5) small_nat)))
     (fun ops ->
-      let h = Heap.create () in
+      let h = heap_create () in
       let model = ref [] in
       let seq = ref 0 in
       List.for_all
@@ -475,7 +490,7 @@ let qcheck_heap_interleaved =
           match op with
           | Some (t, v) ->
               let time = float_of_int t in
-              Heap.push h ~time ~seq:!seq v;
+              heap_push h ~time ~seq:!seq v;
               model := (time, !seq, v) :: !model;
               incr seq;
               true
@@ -488,11 +503,11 @@ let qcheck_heap_interleaved =
                     | _ -> Some e)
                   None !model
               in
-              match (Heap.pop h, next) with
+              match (heap_pop h, next) with
               | None, None -> true
-              | Some e, Some (t, s, v) ->
+              | Some (t', v'), Some (t, s, v) ->
                   model := List.filter (fun (_, s', _) -> s' <> s) !model;
-                  e.Heap.time = t && e.Heap.value = v
+                  t' = t && v' = v
               | _ -> false))
         ops)
 
