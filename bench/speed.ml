@@ -6,8 +6,9 @@
 
    Results land in BENCH_speed.json; [run_speed_smoke] is the CI
    regression gate — it fails the build if events/sec on
-   the LU and Water-Nsq smokes drops below a floor derived from the
-   committed baseline. *)
+   the LU, Water-Nsq and serving smokes drops below a floor derived from
+   the committed baseline, or if the serving run fires markedly more
+   events than the baseline did. *)
 
 module C = Shasta.Cluster
 module J = Load.Json
@@ -63,6 +64,37 @@ let run_app spec ~nprocs ~nodes ~cpus =
     s_wall = wall;
     s_ok = ok;
     s_gc = gc;
+  }
+
+(* One open-loop minidb serving run past the knee (48k req/s for 0.05 s
+   on 2 nodes x 4 CPUs, accept queues that never shed): its servers
+   spin-wait with competitors ready, so it is the point that shows a
+   stale-event build-up in the event heap.  [procs] counts CPUs. *)
+let serve_rate = 48_000.0
+
+let run_serve () =
+  let cfg =
+    {
+      Load.Serve.default_config with
+      Load.Serve.arrival = Load.Arrival.Poisson { rate = serve_rate };
+      duration = 0.05;
+      admission = Load.Admission.queue ~cap:256 ~timeout:infinity;
+    }
+  in
+  let gc0 = Sim.Stats.gc_mark () in
+  let t0 = Unix.gettimeofday () in
+  let o = Load.Serve.run cfg in
+  let wall = Unix.gettimeofday () -. t0 in
+  let net = o.Load.Serve.cluster.C.cfg.Shasta.Config.net in
+  {
+    s_name = Printf.sprintf "serve@%.0fk" (serve_rate /. 1000.0);
+    s_procs = net.Mchan.Net.nodes * net.Mchan.Net.cpus_per_node;
+    s_nodes = net.Mchan.Net.nodes;
+    s_elapsed = o.Load.Serve.elapsed;
+    s_events = Sim.Engine.events_fired (C.sim o.Load.Serve.cluster);
+    s_wall = wall;
+    s_ok = o.Load.Serve.ok && o.Load.Serve.drained;
+    s_gc = Sim.Stats.gc_delta gc0;
   }
 
 (* Interpreter throughput: every IR-corpus kernel instrumented with the
@@ -130,7 +162,7 @@ let run_speed () =
             run_app spec ~nprocs ~nodes ~cpus)
           [ 1; 16 ])
       [ lu; wnsq ]
-    @ [ run_interp () ]
+    @ [ run_serve (); run_interp () ]
   in
   print_points points;
   List.iter
@@ -145,8 +177,17 @@ let run_speed () =
    after the flat-heap rewrite, roughly 2x the pre-rewrite engine.
    The floor is baseline/3 to absorb slower CI hosts; a regression that
    undoes the rewrite's win (a ~2x drop to pre-rewrite speed on the
-   same host) still lands well under it. *)
-let smoke_floor = [ ("LU@4", 300_000.0); ("Water-Nsq@4", 530_000.0) ]
+   same host) still lands well under it.  serve@48k's floor follows
+   the same rule from its own BENCH_speed.json point (2.41M events/sec
+   on a 2-vCPU host). *)
+let smoke_floor = [ ("LU@4", 300_000.0); ("Water-Nsq@4", 530_000.0); ("serve@48k", 800_000.0) ]
+
+(* serve@48k fires a fixed number of events for its fixed seed
+   (464,540 in BENCH_speed.json).  Quantum-end preempts left behind
+   as dead heap events would add about 29% (598,171), and would cost
+   about 1.5x in events/sec, which the floor above cannot see; a ceiling
+   10% over the baseline count catches them on any host. *)
+let serve_events_ceiling = 511_000
 
 let run_speed_smoke () =
   Support.print_header "simulator throughput smoke (CI regression gate)";
@@ -158,8 +199,7 @@ let run_speed_smoke () =
         run_app spec ~nprocs:4 ~nodes ~cpus)
       [ "LU"; "Water-Nsq" ]
   in
-  let interp = run_interp () in
-  let points = points @ [ interp ] in
+  let points = points @ [ run_serve (); run_interp () ] in
   print_points points;
   emit ~file:"BENCH_speed_smoke.json" ~bench:"speed_smoke" points;
   let failed = ref false in
@@ -173,4 +213,10 @@ let run_speed_smoke () =
         failed := true
       end)
     smoke_floor;
+  let serve = find "serve@48k" points in
+  if serve.s_events > serve_events_ceiling then begin
+    Printf.eprintf "speed regression: serve@48k fired %d events (ceiling %d)\n" serve.s_events
+      serve_events_ceiling;
+    failed := true
+  end;
   if !failed then exit 1

@@ -134,7 +134,11 @@ let () =
   let size = if !size = 0 then None else Some !size in
   let gc_mark = Sim.Stats.gc_mark () in
   let host_t0 = Unix.gettimeofday () in
-  let elapsed, ok = Apps.Harness.run_spec cl spec ~nprocs:!procs ~sync ?size () in
+  let run =
+    try Apps.Harness.prepare cl spec ~nprocs:!procs ~sync ?size ()
+    with Invalid_argument msg -> die msg
+  in
+  let elapsed, ok = run () in
   let host_wall = Unix.gettimeofday () -. host_t0 in
   Printf.printf "%s: %d procs, %s sync: %.3f ms simulated, validated: %b\n"
     spec.Apps.Harness.name !procs

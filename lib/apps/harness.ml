@@ -164,18 +164,27 @@ type spec = {
   make : t -> size:int -> (int -> R.t -> unit) * (unit -> bool);
 }
 
-(** [run_spec cluster spec ~nprocs ~sync ~size] — instantiate and run one
-    application; returns (elapsed seconds, validated). *)
-let run_spec ?home_placement cluster spec ~nprocs ~sync ?size () =
+(** [prepare cluster spec ~nprocs ~sync ~size] — instantiate one
+    application and spawn its processes; the returned thunk runs the
+    cluster and returns (elapsed seconds, validated).  A size the
+    application rejects raises [Invalid_argument] here, before anything
+    runs. *)
+let prepare ?home_placement cluster spec ~nprocs ~sync ?size () =
   let size = Option.value size ~default:spec.default_size in
   let t = create ?home_placement cluster ~sync ~nprocs in
   let body, validate = spec.make t ~size in
   for p = 0 to nprocs - 1 do
     ignore (C.spawn cluster ~cpu:p (Printf.sprintf "%s%d" spec.name p) (fun h -> body p h))
   done;
-  let total = C.run cluster in
-  let elapsed = if t.parallel_start > 0.0 then total -. t.parallel_start else total in
-  (elapsed, validate ())
+  fun () ->
+    let total = C.run cluster in
+    let elapsed = if t.parallel_start > 0.0 then total -. t.parallel_start else total in
+    (elapsed, validate ())
+
+(** [run_spec cluster spec ~nprocs ~sync ~size] — instantiate and run one
+    application; returns (elapsed seconds, validated). *)
+let run_spec ?home_placement cluster spec ~nprocs ~sync ?size () =
+  prepare ?home_placement cluster spec ~nprocs ~sync ?size () ()
 
 (** Work partitioning helper: the half-open range of [p]'s share of
     [0..n). *)

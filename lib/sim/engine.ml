@@ -14,6 +14,20 @@
     the pop order is independent of the heap's internal layout, so this
     representation is bit-identical to the boxed heap it replaced.
 
+    Beside the heap sit re-armable one-shot {!timer}s.  A timer has at
+    most one pending firing; [arm]ing it again removes the earlier one
+    instead of leaving a no-op behind.  An arm draws its [seq] (and,
+    under a jittered schedule, its delay) exactly as [at] would, so the
+    timer fires at the [(time, seq)] position the equivalent heap event
+    would have had, and armed timers count wherever the heap does:
+    [run ~until], quiescence, [step], [pending] and [Past_event].
+    [Sim.Proc] keeps one per CPU for the quantum-end preempt of a
+    spin-waiting process.  As heap events those preempts were nearly
+    all dead before they fired, yet stayed queued up to a quantum ahead:
+    on the minidb serving workload the heap held about 1,480 (8k req/s)
+    and 6,770 (48k req/s) events at each fire, against 15.5 for LU on
+    16 processors.  With the timers 19 and 14 are pending.
+
     The [schedule] policy chosen at [create] controls how same-time ties
     are broken.  [Fifo] (the default) fires ties in insertion order and
     is bit-identical to the historical behaviour; the other policies
@@ -214,10 +228,34 @@ let q_drop h =
   end
   else runs.(0) <- nop
 
+(* --- re-armable timers --- *)
+
+(** A one-shot timer with at most one pending firing.  It belongs to the
+    engine it is armed on. *)
+type timer = {
+  mutable tm_time : float;
+  mutable tm_seq : int;
+  mutable tm_label : label;
+  mutable tm_run : unit -> unit;
+  mutable tm_slot : int;  (** index in the engine's armed set; -1 while idle *)
+}
+
+let timer () =
+  { tm_time = Float.infinity; tm_seq = max_int; tm_label = no_label; tm_run = nop; tm_slot = -1 }
+
+(* Sentinel for "no timer": it sorts after every event, so the hot loops
+   compare against it without a special case.  It is never armed. *)
+let never = timer ()
+
 type t = {
   mutable now : float;
   mutable seq : int;
   heap : eheap;
+  (* The armed timers, densely packed in [armed.(0 .. n_armed-1)], and
+     the earliest of them in (time, seq) order ([never] when none). *)
+  mutable armed : timer array;
+  mutable n_armed : int;
+  mutable first : timer;
   mutable fired : int;
   sched : sched_state;
   (* The tie buffer, reused across fires: same-time entries are popped
@@ -225,6 +263,7 @@ type t = {
   mutable tb_seq : int array;
   mutable tb_label : label array;
   mutable tb_run : (unit -> unit) array;
+  mutable tb_tm : timer array;  (** the entry's timer; [never] for heap entries *)
 }
 
 (** Raised by [at] when asked to schedule an event before [now].  The
@@ -259,35 +298,128 @@ let create ?(schedule = Fifo) () =
     now = 0.0;
     seq = 0;
     heap = q_create ();
+    armed = [||];
+    n_armed = 0;
+    first = never;
     fired = 0;
     sched;
     tb_seq = [||];
     tb_label = [||];
     tb_run = [||];
+    tb_tm = [||];
   }
 
 let now t = t.now
 let events_fired t = t.fired
-let pending t = t.heap.q_size
+let pending t = t.heap.q_size + t.n_armed
+
+let[@inline] check_future t time =
+  if time < t.now then
+    raise (Past_event { requested = time; now = t.now; fired = t.fired; pending = pending t })
+
+(* The time an event requested for [time] actually fires at: under a
+   jittered schedule each call draws from the delay stream.  Left out of
+   line on purpose: returning [time] itself spares [at] re-boxing it for
+   [q_push], one float allocation per event. *)
+let jitter t time =
+  match t.sched with
+  | S_jittered { delays; prob; max_delay; _ }
+  | S_guided { delays = Some (delays, prob, max_delay); _ }
+    when prob > 0.0 && Rng.float delays 1.0 < prob ->
+      time +. Rng.float delays max_delay
+  | _ -> time
 
 (** [at t ?label time f] schedules [f] to fire at absolute [time].
     Requires [time >= now t].  [label] (default: unknown) declares the
     event's dependency footprint for {!Guided} exploration. *)
 let at t ?(label = no_label) time f =
-  if time < t.now then
-    raise
-      (Past_event
-         { requested = time; now = t.now; fired = t.fired; pending = t.heap.q_size });
-  let time =
-    match t.sched with
-    | S_jittered { delays; prob; max_delay; _ }
-    | S_guided { delays = Some (delays, prob, max_delay); _ }
-      when prob > 0.0 && Rng.float delays 1.0 < prob ->
-        time +. Rng.float delays max_delay
-    | _ -> time
-  in
+  check_future t time;
+  let time = jitter t time in
   q_push t.heap ~time ~seq:t.seq ~label f;
   t.seq <- t.seq + 1
+
+(* [a] fires before [b]. *)
+let[@inline] earlier a b = a.tm_time < b.tm_time || (a.tm_time = b.tm_time && a.tm_seq < b.tm_seq)
+
+let refresh_first t =
+  let f = ref never in
+  for k = 0 to t.n_armed - 1 do
+    if earlier t.armed.(k) !f then f := t.armed.(k)
+  done;
+  t.first <- !f
+
+let disarm t tm =
+  let k = tm.tm_slot in
+  let last = t.n_armed - 1 in
+  let moved = t.armed.(last) in
+  t.armed.(k) <- moved;
+  moved.tm_slot <- k;
+  t.armed.(last) <- never;
+  t.n_armed <- last;
+  tm.tm_slot <- -1;
+  tm.tm_run <- nop;
+  if t.first == tm then refresh_first t
+
+(** [arm t tm ?label ?keep time f] gives [tm] the pending firing [f] at
+    [time], under the same rules as [at t ?label time f] (past times
+    raise [Past_event]; jittered schedules delay it; it takes the next
+    sequence number).  A firing [tm] already has is removed — unless
+    [keep] is set and that firing comes no later than the new one, in
+    which case it stays and the new one is dropped. *)
+let arm t tm ?(label = no_label) ?(keep = false) time f =
+  check_future t time;
+  let time = jitter t time in
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  if not (keep && tm.tm_slot >= 0 && tm.tm_time <= time) then begin
+    tm.tm_time <- time;
+    tm.tm_seq <- seq;
+    tm.tm_label <- label;
+    tm.tm_run <- f;
+    if tm.tm_slot < 0 then begin
+      if t.n_armed = Array.length t.armed then begin
+        let a = Array.make (max 8 (2 * t.n_armed)) never in
+        Array.blit t.armed 0 a 0 t.n_armed;
+        t.armed <- a
+      end;
+      t.armed.(t.n_armed) <- tm;
+      tm.tm_slot <- t.n_armed;
+      t.n_armed <- t.n_armed + 1
+    end;
+    if t.first == tm then refresh_first t
+    else if earlier tm t.first then t.first <- tm
+  end
+
+(* The next event is the first armed timer rather than the heap root. *)
+let[@inline] timer_next t =
+  let tm = t.first in
+  tm != never
+  &&
+  let h = t.heap in
+  h.q_size = 0
+  || tm.tm_time < h.q_time.(0)
+  || (tm.tm_time = h.q_time.(0) && tm.tm_seq < h.q_seq.(0))
+
+(* The next event, if any, is later than [until]; [from_timer] is
+   [timer_next t]. *)
+let[@inline] next_after t ~from_timer until =
+  if from_timer then t.first.tm_time > until
+  else t.heap.q_size > 0 && t.heap.q_time.(0) > until
+
+let fire_timer t tm =
+  t.now <- tm.tm_time;
+  t.fired <- t.fired + 1;
+  let run = tm.tm_run in
+  disarm t tm;
+  run ()
+
+let[@inline] fire_root t =
+  let h = t.heap in
+  t.now <- h.q_time.(0);
+  t.fired <- t.fired + 1;
+  let run = h.q_run.(0) in
+  q_drop h;
+  run ()
 
 (** [after t ?label dt f] schedules [f] to fire [dt] seconds from now. *)
 let after t ?label dt f = at t ?label (now t +. dt) f
@@ -300,58 +432,77 @@ let tb_ensure t n =
     let seq' = Array.make cap 0 in
     let label' = Array.make cap no_label in
     let run' = Array.make cap nop in
+    let tm' = Array.make cap never in
     Array.blit t.tb_seq 0 seq' 0 (Array.length t.tb_seq);
     Array.blit t.tb_label 0 label' 0 (Array.length t.tb_label);
     Array.blit t.tb_run 0 run' 0 (Array.length t.tb_run);
+    Array.blit t.tb_tm 0 tm' 0 (Array.length t.tb_tm);
     t.tb_seq <- seq';
     t.tb_label <- label';
-    t.tb_run <- run'
+    t.tb_run <- run';
+    t.tb_tm <- tm'
   end
 
-(* Pop every entry scheduled for exactly the root's time into the tie
-   buffer; the buffer is in insertion order because the heap pops ties
-   FIFO.  Returns (time, count). *)
+let tb_set t j ~seq ~label ~run ~tm =
+  t.tb_seq.(j) <- seq;
+  t.tb_label.(j) <- label;
+  t.tb_run.(j) <- run;
+  t.tb_tm.(j) <- tm
+
+(* Gather every event due at exactly the next event's time into the tie
+   buffer, in insertion order: the heap pops its ties FIFO, and each due
+   timer is inserted by its seq.  Heap entries leave the heap; timers
+   stay armed until one is fired.  Returns (time, count). *)
 let pop_ties t =
   let h = t.heap in
-  let time = h.q_time.(0) in
+  let time = if timer_next t then t.first.tm_time else h.q_time.(0) in
   let n = ref 0 in
-  let continue = ref true in
-  while !continue do
+  while h.q_size > 0 && h.q_time.(0) = time do
     tb_ensure t (!n + 1);
-    t.tb_seq.(!n) <- h.q_seq.(0);
-    t.tb_label.(!n) <- h.q_label.(0);
-    t.tb_run.(!n) <- h.q_run.(0);
+    tb_set t !n ~seq:h.q_seq.(0) ~label:h.q_label.(0) ~run:h.q_run.(0) ~tm:never;
     q_drop h;
-    incr n;
-    if h.q_size = 0 || h.q_time.(0) <> time then continue := false
+    incr n
+  done;
+  for k = 0 to t.n_armed - 1 do
+    let tm = t.armed.(k) in
+    if tm.tm_time = time then begin
+      tb_ensure t (!n + 1);
+      let j = ref !n in
+      while !j > 0 && t.tb_seq.(!j - 1) > tm.tm_seq do
+        let i = !j - 1 in
+        tb_set t !j ~seq:t.tb_seq.(i) ~label:t.tb_label.(i) ~run:t.tb_run.(i) ~tm:t.tb_tm.(i);
+        j := i
+      done;
+      tb_set t !j ~seq:tm.tm_seq ~label:tm.tm_label ~run:tm.tm_run ~tm;
+      incr n
+    end
   done;
   (time, !n)
 
-(* Fire tie [i], pushing the others back with their original [seq] so a
-   later pop sees them in unchanged relative order. *)
+(* Fire tie [i], pushing the other heap entries back with their original
+   [seq] so a later pop sees them in unchanged relative order. *)
 let fire_choice t time n i =
   for j = 0 to n - 1 do
-    if j <> i then q_push t.heap ~time ~seq:t.tb_seq.(j) ~label:t.tb_label.(j) t.tb_run.(j)
+    if j <> i && t.tb_tm.(j) == never then
+      q_push t.heap ~time ~seq:t.tb_seq.(j) ~label:t.tb_label.(j) t.tb_run.(j)
   done;
-  t.now <- time;
-  t.fired <- t.fired + 1;
-  let run = t.tb_run.(i) in
-  run ()
+  let tm = t.tb_tm.(i) in
+  if tm != never then fire_timer t tm
+  else begin
+    t.now <- time;
+    t.fired <- t.fired + 1;
+    let run = t.tb_run.(i) in
+    run ()
+  end
 
 (** [step t] fires one pending event — the earliest, with same-time ties
-    broken by the schedule policy.  Returns [false] when the event heap
-    is empty. *)
+    broken by the schedule policy.  Returns [false] when nothing is
+    pending. *)
 let step t =
-  let h = t.heap in
-  if h.q_size = 0 then false
+  if pending t = 0 then false
   else begin
     (match t.sched with
-    | S_fifo ->
-        t.now <- h.q_time.(0);
-        t.fired <- t.fired + 1;
-        let run = h.q_run.(0) in
-        q_drop h;
-        run ()
+    | S_fifo -> if timer_next t then fire_timer t t.first else fire_root t
     | S_seeded rng | S_jittered { ties = rng; _ } ->
         let time, n = pop_ties t in
         if n = 1 then fire_choice t time 1 0
@@ -381,9 +532,11 @@ let run ?until ?max_events t =
   (match t.sched with
   | S_fifo ->
       (* The hot loop: no allocation per event — the deadline check reads
-         the root time directly and firing pops in place. *)
+         the next event's time directly and firing pops in place.  With
+         no timer armed, [timer_next] is one pointer compare. *)
       while !continue do
-        if h.q_size > 0 && h.q_time.(0) > until_v then begin
+        let from_timer = timer_next t in
+        if next_after t ~from_timer until_v then begin
           t.now <- Float.max t.now until_v;
           reason := Deadline;
           continue := false
@@ -392,21 +545,16 @@ let run ?until ?max_events t =
           reason := Event_budget;
           continue := false
         end
+        else if from_timer then fire_timer t t.first
         else if h.q_size = 0 then begin
           reason := Quiescent;
           continue := false
         end
-        else begin
-          t.now <- h.q_time.(0);
-          t.fired <- t.fired + 1;
-          let run = h.q_run.(0) in
-          q_drop h;
-          run ()
-        end
+        else fire_root t
       done
   | _ ->
       while !continue do
-        if h.q_size > 0 && h.q_time.(0) > until_v then begin
+        if next_after t ~from_timer:(timer_next t) until_v then begin
           t.now <- Float.max t.now until_v;
           reason := Deadline;
           continue := false

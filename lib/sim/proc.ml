@@ -66,6 +66,11 @@ and cpu = {
   ready : t Queue.t array;  (** one queue per priority level *)
   mutable current : t option;
   mutable quantum_deadline : float;
+  spin_timer : Engine.timer;
+      (** quantum end of the current process while it spin-waits with a
+          competitor ready; see [arm_quantum_end] *)
+  mutable spin_pid : int;
+  mutable spin_version : int;  (** the [(pid, version)] [spin_timer] was last armed for *)
   mutable switches : int;
   mutable next_pid : int ref;
 }
@@ -84,6 +89,9 @@ let make_cpu ~engine ~node_id ~cpu_global_id ~quantum ~switch_cost next_pid =
     ready = Array.init priority_levels (fun _ -> Queue.create ());
     current = None;
     quantum_deadline = 0.0;
+    spin_timer = Engine.timer ();
+    spin_pid = -1;
+    spin_version = -1;
     switches = 0;
     next_pid;
   }
@@ -133,15 +141,28 @@ and enqueue_ready p =
       if c.priority > p.priority then preempt c
       else if c.state = Waiting then
         if c.yield_waiting then preempt c
-        else begin
+        else
           (* The current process is idly waiting on a signal; it keeps the
              CPU only until its quantum expires. *)
-          let eng = cpu.engine in
-          let fire_at = max (Engine.now eng) cpu.quantum_deadline in
-          let v = c.version in
-          Engine.at eng ~label:cpu.label fire_at (fun () ->
-              if c.version = v && c.state = Waiting then preempt c)
-        end
+          arm_quantum_end c
+
+(* Preempt [c], the CPU's current process, spin-waiting in [Waiting] and
+   not yield-waiting, when its quantum ends.  One timer per CPU is
+   enough: leaving [Waiting] or the CPU always bumps [version], so any
+   earlier arm for another [(pid, version)] is already dead and is
+   replaced.  An earlier arm for the same [(pid, version)] does the same
+   thing and fires no later, so it is kept ([~keep]; under jitter the
+   engine keeps whichever of the two drew the earlier time). *)
+and arm_quantum_end c =
+  let cpu = c.cpu in
+  let eng = cpu.engine in
+  let v = c.version in
+  let keep = cpu.spin_pid = c.pid && cpu.spin_version = v in
+  cpu.spin_pid <- c.pid;
+  cpu.spin_version <- v;
+  Engine.arm eng cpu.spin_timer ~label:cpu.label ~keep
+    (max (Engine.now eng) cpu.quantum_deadline)
+    (fun () -> if c.version = v && c.state = Waiting then preempt c)
 
 and preempt p =
   let cpu = p.cpu in
@@ -242,10 +263,7 @@ and stall_step p pred cont =
       (match p.stall_signal with
       | Some s -> Signal.wait s (fun () -> if p.version = v && p.state = Waiting then step p)
       | None -> ());
-      if exists_ready cpu then
-        Engine.at eng ~label:cpu.label
-          (max (Engine.now eng) cpu.quantum_deadline)
-          (fun () -> if p.version = v && p.state = Waiting then preempt p)
+      if exists_ready cpu then arm_quantum_end p
     end
   end
 

@@ -43,6 +43,7 @@ let malformed =
     ([ "--granularity"; "bogus" ], "Layout.of_spec");
     ([ "--line"; "0" ], "block size 0");
     ([ "--app"; "bogus" ], "unknown application");
+    ([ "--app"; "LU"; "--size"; "100" ], "multiple of the block size");
   ]
 
 let test_malformed () =

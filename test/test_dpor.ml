@@ -167,6 +167,19 @@ let test_dpor_minidb_bounded () =
   Alcotest.(check bool) "exhaustive cannot finish in its budget" false
     x.E.stats.E.s_complete
 
+(* The CI bound: at a preemption bound of 2 the same scenario must also
+   reach its bounded fixed point within the default run cap, clean. *)
+let test_dpor_minidb_bound2 () =
+  let d =
+    D.explore ~max_runs:5000 ~preemption_bound:2 (L.as_scenario Check.Txn.scenario)
+  in
+  Alcotest.(check bool) "bound-2 fixed point reached" true d.E.stats.E.s_complete;
+  match d.E.failures with
+  | [] -> ()
+  | f :: _ ->
+      Alcotest.failf "minidb-txn2 under %s: %s" f.E.f_schedule
+        (String.concat "; " f.E.f_violations)
+
 (* --- the documented legal transient under jittered DPOR ------------ *)
 
 (* Regression pin for the exemption: a directory owner may transiently
@@ -286,6 +299,8 @@ let suite =
       test_dpor_litmus_fixed_point;
     Alcotest.test_case "dpor completes minidb-txn2 under preemption bound"
       `Slow test_dpor_minidb_bounded;
+    Alcotest.test_case "minidb-txn2 bound-2 dpor fixed point"
+      `Slow test_dpor_minidb_bound2;
     Alcotest.test_case "dpor+jitter rediscovers the legal transient" `Quick
       test_dpor_rediscovers_legal_transient;
     Alcotest.test_case "exhaustive surfaces truncation" `Quick

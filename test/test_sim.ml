@@ -90,6 +90,79 @@ let test_engine_past_rejected () =
   ignore (Engine.run eng);
   Alcotest.(check bool) "raised Past_event with provenance" true !caught
 
+(* --- re-armable timers --- *)
+
+let test_timer_rearm_fires_once () =
+  let eng = Engine.create () in
+  let tm = Engine.timer () in
+  let fired = ref 0 in
+  for i = 1 to 1000 do
+    Engine.arm eng tm (float_of_int i) (fun () -> incr fired)
+  done;
+  Alcotest.(check int) "one pending firing" 1 (Engine.pending eng);
+  ignore (Engine.run eng);
+  Alcotest.(check int) "fired once" 1 !fired;
+  Alcotest.(check int) "one event" 1 (Engine.events_fired eng);
+  check_f "at the last arm's time" 1000.0 (Engine.now eng)
+
+(* Heap event, timer, heap event, all at t=1.0: the timer takes its seq
+   from the same counter as [at], so it fires between the two.  A Guided
+   schedule sees it as one candidate however often it was re-armed. *)
+let test_timer_seq_order () =
+  let order schedule =
+    let eng = Engine.create ~schedule () in
+    let tm = Engine.timer () in
+    let log = ref [] in
+    Engine.at eng 1.0 (fun () -> log := "a" :: !log);
+    Engine.arm eng tm 1.0 (fun () -> log := "stale" :: !log);
+    Engine.arm eng tm 1.0 (fun () -> log := "t" :: !log);
+    Engine.at eng 1.0 (fun () -> log := "b" :: !log);
+    ignore (Engine.run eng);
+    List.rev !log
+  in
+  Alcotest.(check (list string)) "fifo" [ "a"; "t"; "b" ] (order Engine.Fifo);
+  let widths = ref [] in
+  let guided =
+    Engine.Guided
+      (fun cands ->
+        widths := Array.length cands :: !widths;
+        0)
+  in
+  Alcotest.(check (list string)) "guided, always first" [ "a"; "t"; "b" ] (order guided);
+  Alcotest.(check (list int)) "tie widths" [ 3; 2; 1 ] (List.rev !widths)
+
+let test_timer_deadline () =
+  let eng = Engine.create () in
+  let tm = Engine.timer () in
+  let fired = ref false in
+  Engine.arm eng tm 10.0 (fun () -> fired := true);
+  Engine.at eng 2.0 ignore;
+  (match Engine.run ~until:5.0 eng with
+  | Engine.Deadline -> ()
+  | Engine.Quiescent | Engine.Event_budget -> Alcotest.fail "expected deadline");
+  Alcotest.(check bool) "late timer did not fire" false !fired;
+  check_f "clock advanced to deadline" 5.0 (Engine.now eng);
+  Alcotest.(check int) "timer still pending" 1 (Engine.pending eng);
+  ignore (Engine.run eng);
+  Alcotest.(check bool) "fired on the next run" true !fired
+
+let test_timer_past_rejected () =
+  let eng = Engine.create () in
+  let tm = Engine.timer () in
+  let caught = ref false in
+  Engine.at eng 1.0 (fun () ->
+      Engine.arm eng tm 2.0 ignore;
+      try Engine.arm eng tm 0.5 ignore
+      with Engine.Past_event { requested; now; fired; pending } ->
+        caught := true;
+        check_f "requested" 0.5 requested;
+        check_f "now" 1.0 now;
+        Alcotest.(check int) "events fired so far" 1 fired;
+        Alcotest.(check int) "pending counts the armed timer" 1 pending);
+  ignore (Engine.run eng);
+  Alcotest.(check bool) "raised Past_event" true !caught;
+  Alcotest.(check int) "the earlier arm survived" 2 (Engine.events_fired eng)
+
 (* Six handlers tied at t=1.0; the firing order is the schedule's
    tie-break permutation. *)
 let firing_order schedule =
@@ -320,6 +393,37 @@ let test_quantum_wait_preemption () =
   Alcotest.(check bool) "other ran after quantum expiry" true
     (!other_done > 0.009 && !other_done < 0.10)
 
+(* A process spin-waiting on one CPU with a competitor ready arms the
+   quantum-end preempt afresh every time a pulse wakes it; the stale arms
+   must not pile up as pending events. *)
+let test_spin_preempt_pending_bounded () =
+  let eng = Engine.create () in
+  let cpu = make_cpu ~quantum:0.010 eng in
+  let s = Signal.create eng in
+  let flag = ref false in
+  let p = Proc.spawn cpu (fun () -> Proc.stall (fun () -> !flag)) in
+  p.Proc.stall_signal <- Some s;
+  let other_done = ref 0.0 in
+  Engine.at eng 0.001 (fun () ->
+      ignore
+        (Proc.spawn cpu (fun () ->
+             Proc.work 0.001;
+             other_done := Engine.now eng)));
+  let n = 1000 in
+  for i = 1 to n do
+    Engine.at eng (0.001 +. (float_of_int i *. 1e-6)) (fun () -> Signal.pulse s)
+  done;
+  let pending_mid = ref (-1) in
+  Engine.at eng 0.005 (fun () -> pending_mid := Engine.pending eng);
+  Engine.at eng 1.0 (fun () ->
+      flag := true;
+      Signal.pulse s);
+  ignore (Engine.run eng);
+  if !pending_mid < 0 || !pending_mid > 4 then
+    Alcotest.failf "%d events pending after %d pulses" !pending_mid n;
+  Alcotest.(check bool) "competitor ran at the quantum end" true
+    (!other_done > 0.010 && !other_done < 0.10)
+
 let test_rng_determinism () =
   let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 100 do
@@ -511,6 +615,93 @@ let qcheck_heap_interleaved =
               | _ -> false))
         ops)
 
+(* Random [at] / [arm] / re-arm / [step] interleavings against a
+   sorted-list model: every step fires the model's minimum (time, seq)
+   entry, where an armed timer is one entry that re-arming replaces (or,
+   with [keep], leaves alone when it is no later).  A Guided schedule
+   that always takes the first candidate goes through the tie-set path
+   and must agree with Fifo. *)
+type timer_op = At of int | Arm of int * int * bool | Step
+
+let gen_timer_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun d -> At d) (int_bound 3));
+        (3, map3 (fun k d keep -> Arm (k, d, keep)) (int_bound 2) (int_bound 3) bool);
+        (4, return Step);
+      ])
+
+let print_timer_op = function
+  | At d -> Printf.sprintf "At %d" d
+  | Arm (k, d, keep) -> Printf.sprintf "Arm (%d, %d, %b)" k d keep
+  | Step -> "Step"
+
+let timer_model_agrees schedule ops =
+  let eng = Engine.create ~schedule () in
+  let timers = Array.init 3 (fun _ -> Engine.timer ()) in
+  (* model entries: (time, seq, id); a timer's entry lives in [armed] *)
+  let events = ref [] in
+  let armed = Array.make 3 None in
+  let seq = ref 0 in
+  let log = ref [] in
+  let entries () = !events @ List.filter_map Fun.id (Array.to_list armed) in
+  let step_model () =
+    match List.sort compare (entries ()) with
+    | [] -> None
+    | ((_, s, id) as e) :: _ ->
+        events := List.filter (fun e' -> e' != e) !events;
+        Array.iteri
+          (fun k a -> match a with Some (_, s', _) when s' = s -> armed.(k) <- None | _ -> ())
+          armed;
+        Some id
+  in
+  List.for_all
+    (fun op ->
+      match op with
+      | At d ->
+          let id = !seq in
+          let time = Engine.now eng +. float_of_int d in
+          Engine.at eng time (fun () -> log := id :: !log);
+          events := (time, !seq, id) :: !events;
+          incr seq;
+          true
+      | Arm (k, d, keep) ->
+          let id = !seq in
+          let time = Engine.now eng +. float_of_int d in
+          Engine.arm eng timers.(k) ~keep time (fun () -> log := id :: !log);
+          (match armed.(k) with
+          | Some (t0, _, _) when keep && t0 <= time -> ()
+          | _ -> armed.(k) <- Some (time, !seq, id));
+          incr seq;
+          true
+      | Step ->
+          let expect = step_model () in
+          log := [];
+          let stepped = Engine.step eng in
+          let got = match !log with [ id ] -> Some id | _ -> None in
+          stepped = (expect <> None)
+          && got = expect
+          && Engine.pending eng = List.length (entries ()))
+    ops
+  &&
+  (* drain the rest *)
+  let rec drain acc =
+    match step_model () with None -> List.rev acc | Some id -> drain (id :: acc)
+  in
+  let expect = drain [] in
+  log := [];
+  ignore (Engine.run eng);
+  List.rev !log = expect
+
+let qcheck_timer_model =
+  QCheck.Test.make ~name:"timers and events match a sorted-list model" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_timer_op) QCheck.Gen.(list gen_timer_op))
+    (fun ops ->
+      List.for_all
+        (fun schedule -> timer_model_agrees schedule ops)
+        [ Engine.Fifo; Engine.Guided (fun _ -> 0) ])
+
 let qcheck_summary_mean =
   QCheck.Test.make ~name:"summary mean matches direct mean" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 50) (float_bound_exclusive 100.0))
@@ -531,6 +722,10 @@ let suite =
     Alcotest.test_case "engine seeded tie-break" `Quick test_engine_seeded_deterministic;
     Alcotest.test_case "engine choose tie-break" `Quick test_engine_choose_ties;
     Alcotest.test_case "engine jittered delays" `Quick test_engine_jittered_bounds;
+    Alcotest.test_case "timer re-armed 1000 times fires once" `Quick test_timer_rearm_fires_once;
+    Alcotest.test_case "timer fires in seq order among ties" `Quick test_timer_seq_order;
+    Alcotest.test_case "run until stops before a later timer" `Quick test_timer_deadline;
+    Alcotest.test_case "timer rejects past arms" `Quick test_timer_past_rejected;
     Alcotest.test_case "work advances time" `Quick test_proc_work_advances_time;
     Alcotest.test_case "round robin" `Quick test_proc_round_robin;
     Alcotest.test_case "block/wakeup" `Quick test_proc_block_wakeup;
@@ -542,6 +737,8 @@ let suite =
     Alcotest.test_case "join" `Quick test_proc_join;
     Alcotest.test_case "join propagates failure" `Quick test_proc_join_propagates_failure;
     Alcotest.test_case "quantum preempts waiting proc" `Quick test_quantum_wait_preemption;
+    Alcotest.test_case "spin preempts keep pending bounded" `Quick
+      test_spin_preempt_pending_bounded;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng keyed link streams" `Quick test_rng_keyed_link_streams;
@@ -553,5 +750,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_heap_sorted;
     QCheck_alcotest.to_alcotest qcheck_heap_stable_reference;
     QCheck_alcotest.to_alcotest qcheck_heap_interleaved;
+    QCheck_alcotest.to_alcotest qcheck_timer_model;
     QCheck_alcotest.to_alcotest qcheck_summary_mean;
   ]
