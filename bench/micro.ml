@@ -17,8 +17,24 @@ let heap_push_pop =
            E.q_push h ~time:(float_of_int ((i * 37) mod 64)) ~seq:i ~label:E.no_label E.nop
          done;
          while h.E.q_size > 0 do
-           h.E.q_run.(0) ();
+           (E.q_root_run h) ();
            E.q_drop h
+         done))
+
+(* A zero-delay event (a [Work] step, a signal waiter's wake) queued and
+   fired through the engine, with 16 later events pending as in an LU
+   run: such an event takes the same-instant lane, not the heap. *)
+let same_instant =
+  let module E = Sim.Engine in
+  let eng = E.create () in
+  for i = 1 to 16 do
+    E.at eng (float_of_int i) E.nop
+  done;
+  Test.make ~name:"same-instant at+step x64"
+    (Staged.stage (fun () ->
+         for _ = 0 to 63 do
+           E.after eng 0.0 E.nop;
+           ignore (E.step eng)
          done))
 
 let bench_layout = Protocol.Layout.uniform ~base:0 ~size:65536 ~block:64 ()
@@ -81,7 +97,16 @@ let rng_stream =
 
 let run_micro () =
   let tests =
-    [ heap_push_pop; memimg_ops; flag_fill; layout_lookup; interp_loop; rewriter; rng_stream ]
+    [
+      heap_push_pop;
+      same_instant;
+      memimg_ops;
+      flag_fill;
+      layout_lookup;
+      interp_loop;
+      rewriter;
+      rng_stream;
+    ]
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in

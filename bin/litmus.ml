@@ -17,14 +17,21 @@
    run/class statistics are appended to --out as JSON lines.  To
    reproduce a reported seed locally:
 
-     dune exec bin/litmus.exe -- --seeds N       # covers seeds 1..N *)
+     dune exec bin/litmus.exe -- --seeds N       # covers seeds 1..N
+
+   A negative --seeds or --preemption-bound ends the run before it
+   starts, with one [litmus: ...] line on stderr and exit code 2. *)
+
+let die msg =
+  prerr_endline ("litmus: " ^ msg);
+  exit 2
 
 let () =
   let seeds = ref 16 in
   let jitter = ref false in
   let explore = ref false in
   let dpor = ref false in
-  let pbound = ref (-1) in
+  let pbound = ref None in
   let mutate = ref false in
   let only = ref "" in
   let out = ref "" in
@@ -35,7 +42,7 @@ let () =
       ("--explore", Arg.Set explore, " bounded exhaustive tie-set exploration");
       ("--dpor", Arg.Set dpor, " partial-order-reduced exploration to a fixed point");
       ( "--preemption-bound",
-        Arg.Set_int pbound,
+        Arg.Int (fun k -> pbound := Some k),
         "K  bound preemptions per run under --dpor (default unbounded)" );
       ("--mutate", Arg.Set mutate, " mutation harness: seeded protocol bugs must be caught");
       ( "--only",
@@ -47,6 +54,10 @@ let () =
   Arg.parse spec
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "litmus [options]";
+  if !seeds < 0 then die (Printf.sprintf "--seeds must be >= 0, got %d" !seeds);
+  Option.iter
+    (fun k -> if k < 0 then die (Printf.sprintf "--preemption-bound must be >= 0, got %d" k))
+    !pbound;
   let pick scenarios =
     match !only with
     | "" -> scenarios
@@ -55,9 +66,7 @@ let () =
           List.filter (fun (sc : Check.Litmus.scenario) -> sc.Check.Litmus.name = name)
             scenarios
         with
-        | [] ->
-            prerr_endline ("litmus: no scenario named " ^ name);
-            exit 2
+        | [] -> die ("no scenario named " ^ name)
         | picked -> picked)
   in
   let artifact = Buffer.create 256 in
@@ -77,8 +86,9 @@ let () =
          driver scenario st.Check.Explore.s_runs st.Check.Explore.s_classes
          st.Check.Explore.s_choice_points st.Check.Explore.s_complete
          st.Check.Explore.s_truncated
-         (if !pbound >= 0 then Printf.sprintf ",\"preemption_bound\":%d" !pbound
-          else ""))
+         (match !pbound with
+         | Some k -> Printf.sprintf ",\"preemption_bound\":%d" k
+         | None -> ""))
   in
 
   (* Seed sweep: FIFO default plus N seeded tie-break schedules. *)
@@ -148,15 +158,14 @@ let () =
   end;
 
   if !dpor then begin
-    let bound = if !pbound >= 0 then Some !pbound else None in
     Printf.printf "== litmus: DPOR exploration%s ==\n%!"
-      (match bound with
+      (match !pbound with
       | Some b -> Printf.sprintf " (preemption bound %d)" b
       | None -> "");
     List.iter
       (fun (sc : Check.Litmus.scenario) ->
         let r =
-          Check.Dpor.explore ?preemption_bound:bound
+          Check.Dpor.explore ?preemption_bound:!pbound
             (Check.Litmus.as_scenario sc)
         in
         let st = r.Check.Explore.stats in

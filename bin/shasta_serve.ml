@@ -6,10 +6,16 @@
      dune exec bin/shasta_serve.exe -- --sweep 10000,20000,40000,80000,160000
 
    Same seed => bit-identical latency histograms (the --json report can
-   be diffed byte for byte). *)
+   be diffed byte for byte).  A malformed option value ends the run
+   before it starts, with one [shasta_serve: ...] line on stderr and
+   exit code 2. *)
 
 module S = Load.Serve
 module A = Load.Arrival
+
+let die msg =
+  prerr_endline ("shasta_serve: " ^ msg);
+  exit 2
 
 let () =
   let arrival = ref "poisson:20000" in
@@ -49,27 +55,28 @@ let () =
     ]
   in
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "shasta_serve [options]";
-  let plan = if !faults = "" then Fault.Plan.empty else Fault.Plan.of_spec !faults in
-  let cluster_cfg =
-    S.cluster_config ~nodes:!nodes ~cpus_per_node:!cpus ~fault_plan:plan ()
-  in
   let total_cpus = !nodes * !cpus in
-  if !servers < 1 || !servers > total_cpus - 1 then begin
-    Printf.eprintf "--servers must be in [1, %d]\n" (total_cpus - 1);
-    exit 2
-  end;
-  let cfg =
-    {
-      S.default_config with
-      S.seed = !seed;
-      arrival = A.of_spec !arrival;
-      clients = !clients;
-      window = !window;
-      duration = !duration;
-      scan_share = !scan_share;
-      admission = Load.Admission.of_spec !admission;
-      server_cpus = List.init !servers (fun i -> 1 + i);
-    }
+  if !servers < 1 || !servers > total_cpus - 1 then
+    die (Printf.sprintf "--servers must be in [1, %d]" (total_cpus - 1));
+  let cluster_cfg, cfg =
+    try
+      let plan = if !faults = "" then Fault.Plan.empty else Fault.Plan.of_spec !faults in
+      let cfg =
+        {
+          S.default_config with
+          S.seed = !seed;
+          arrival = A.of_spec !arrival;
+          clients = !clients;
+          window = !window;
+          duration = !duration;
+          scan_share = !scan_share;
+          admission = Load.Admission.of_spec !admission;
+          server_cpus = List.init !servers (fun i -> 1 + i);
+        }
+      in
+      S.validate_config cfg;
+      (S.cluster_config ~nodes:!nodes ~cpus_per_node:!cpus ~fault_plan:plan (), cfg)
+    with Invalid_argument msg -> die msg
   in
   let report_outcome (o : S.outcome) =
     Format.printf "%a" Load.Recorder.pp o.S.recorder;
@@ -91,10 +98,10 @@ let () =
   end
   else begin
     let rates =
-      try List.map float_of_string (String.split_on_char ',' !sweep)
-      with _ ->
-        Printf.eprintf "--sweep expects comma-separated rates\n";
-        exit 2
+      match List.map float_of_string_opt (String.split_on_char ',' !sweep) with
+      | rates when List.for_all (function Some r -> r > 0.0 | None -> false) rates ->
+          List.map Option.get rates
+      | _ -> die "--sweep expects comma-separated positive rates"
     in
     let points = S.sweep ~cluster_cfg ~cfg rates in
     Format.printf "%a" S.pp_sweep points;

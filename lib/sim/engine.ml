@@ -1,32 +1,44 @@
-(** Discrete-event simulation core: a virtual clock and an event heap.
+(** Discrete-event simulation core: a virtual clock and an event store.
 
     Events are thunks fired in [(time, insertion-order)] order, so the
     whole simulation is deterministic.  Everything above this module
     (CPUs, processes, the network, the coherence protocol) is expressed
     as events.
 
-    The event store is a flat structure-of-arrays binary heap: an
-    unboxed [float array] of times, an [int array] of sequence numbers,
-    and parallel payload arrays for labels and run thunks.  Firing an
-    event under the default [Fifo] schedule allocates nothing; the other
-    schedules reuse one array-based tie buffer across fires instead of
-    building a list per tie-set.  Because [(time, seq)] keys are unique,
-    the pop order is independent of the heap's internal layout, so this
-    representation is bit-identical to the boxed heap it replaced.
+    The event store has three parts, and the next event is the least
+    [(time, seq)] among their heads, so splitting it changes no firing
+    order:
 
-    Beside the heap sit re-armable one-shot {!timer}s.  A timer has at
-    most one pending firing; [arm]ing it again removes the earlier one
-    instead of leaving a no-op behind.  An arm draws its [seq] (and,
-    under a jittered schedule, its delay) exactly as [at] would, so the
-    timer fires at the [(time, seq)] position the equivalent heap event
-    would have had, and armed timers count wherever the heap does:
-    [run ~until], quiescence, [step], [pending] and [Past_event].
-    [Sim.Proc] keeps one per CPU for the quantum-end preempt of a
-    spin-waiting process.  As heap events those preempts were nearly
-    all dead before they fired, yet stayed queued up to a quantum ahead:
-    on the minidb serving workload the heap held about 1,480 (8k req/s)
-    and 6,770 (48k req/s) events at each fire, against 15.5 for LU on
-    16 processors.  With the timers 19 and 14 are pending.
+    - An index-only binary min-heap.  Its arrays hold only unboxed data
+      — [float] times, [int] sequence numbers and [int] payload slots —
+      so a sift moves no pointer and pays no write barrier.  An event's
+      label and run thunk are written once, at push, into slot-indexed
+      payload arrays.
+    - The same-instant lane: a FIFO ring of the events due at exactly
+      [now] (after any jitter draw).  A process's next step after a
+      [Work] effect and a signal's waiter wake-ups are such zero-delay
+      events, 41–55% of all events on the serving and LU workloads;
+      they never enter the heap.  Lane entries carry increasing [seq]s
+      and the clock cannot advance past them, so the lane head is the
+      least of them and only a heap root or timer also due at [now],
+      with a smaller [seq], can precede it.
+    - Re-armable one-shot {!timer}s.  A timer has at most one pending
+      firing; [arm]ing it again removes the earlier one instead of
+      leaving a no-op behind.  An arm draws its [seq] (and, under a
+      jittered schedule, its delay) exactly as [at] would, so the timer
+      fires at the [(time, seq)] position the equivalent heap event
+      would have had.  [Sim.Proc] keeps one per CPU for the quantum-end
+      preempt of a spin-waiting process, which as a heap event was
+      nearly always dead before it fired yet stayed queued up to a
+      quantum ahead.
+
+    Lane entries and armed timers count wherever the heap does:
+    [run ~until], the [max_events] budget, quiescence, [step], [pending]
+    and [Past_event].  Under the default [Fifo] schedule firing builds
+    no tie set; the other schedules gather the due entries of all three
+    parts, merged by [seq], into one array-based tie buffer reused
+    across fires, and queue the entries not chosen again with their own
+    [(time, seq)].
 
     The [schedule] policy chosen at [create] controls how same-time ties
     are broken.  [Fifo] (the default) fires ties in insertion order and
@@ -129,74 +141,95 @@ type sched_state =
       delays : (Rng.t * float * float) option;  (* rng, prob, max_delay *)
     }
 
-(* --- the flat event store --- *)
+(* --- the event store: an index-only heap and a same-instant lane --- *)
 
-(* A structure-of-arrays binary min-heap over (time, seq) with label and
-   run-thunk payload arrays: the entry record is split across four
-   arrays so that push/drop never allocate. *)
+(* A binary min-heap over (time, seq) whose arrays hold only unboxed
+   data: the sift loops move a float time, an int seq and the int
+   payload [slot], so no level of a sift goes through the write barrier.
+   An entry's label and run thunk are written once, at push, into
+   [s_label]/[s_run] at its slot.  All the arrays share one capacity,
+   and the slots not in use are stacked in
+   [s_free.(0 .. capacity - q_size - 1)]. *)
 type eheap = {
   mutable q_time : float array;
   mutable q_seq : int array;
-  mutable q_label : label array;
-  mutable q_run : (unit -> unit) array;
+  mutable q_slot : int array;
   mutable q_size : int;
+  mutable s_label : label array;
+  mutable s_run : (unit -> unit) array;
+  mutable s_free : int array;
 }
 
 let nop () = ()
 
 let q_create () =
-  { q_time = [||]; q_seq = [||]; q_label = [||]; q_run = [||]; q_size = 0 }
+  {
+    q_time = [||];
+    q_seq = [||];
+    q_slot = [||];
+    q_size = 0;
+    s_label = [||];
+    s_run = [||];
+    s_free = [||];
+  }
 
+(* Called when full, so every old slot is in use and the new ones are
+   all free. *)
 let q_grow h =
   let cap = Array.length h.q_time in
   let cap' = if cap = 0 then 64 else cap * 2 in
-  let time' = Array.make cap' 0.0 in
-  let seq' = Array.make cap' 0 in
-  let label' = Array.make cap' no_label in
-  let run' = Array.make cap' nop in
-  Array.blit h.q_time 0 time' 0 h.q_size;
-  Array.blit h.q_seq 0 seq' 0 h.q_size;
-  Array.blit h.q_label 0 label' 0 h.q_size;
-  Array.blit h.q_run 0 run' 0 h.q_size;
-  h.q_time <- time';
-  h.q_seq <- seq';
-  h.q_label <- label';
-  h.q_run <- run'
+  let extend a fill =
+    let a' = Array.make cap' fill in
+    Array.blit a 0 a' 0 cap;
+    a'
+  in
+  h.q_time <- extend h.q_time 0.0;
+  h.q_seq <- extend h.q_seq 0;
+  h.q_slot <- extend h.q_slot 0;
+  h.s_label <- extend h.s_label no_label;
+  h.s_run <- extend h.s_run nop;
+  h.s_free <- Array.init cap' (fun k -> cap + k)
 
 let q_push h ~time ~seq ~label run =
   if h.q_size = Array.length h.q_time then q_grow h;
-  let times = h.q_time and seqs = h.q_seq and labels = h.q_label and runs = h.q_run in
+  let times = h.q_time and seqs = h.q_seq and slots = h.q_slot in
+  let n = h.q_size in
+  let slot = h.s_free.(Array.length times - n - 1) in
+  h.s_label.(slot) <- label;
+  h.s_run.(slot) <- run;
+  h.q_size <- n + 1;
   (* Sift up by moving the hole; the new entry is written exactly once. *)
-  let i = ref h.q_size in
-  h.q_size <- h.q_size + 1;
+  let i = ref n in
   let continue = ref true in
   while !continue && !i > 0 do
     let p = (!i - 1) / 2 in
     if time < times.(p) || (time = times.(p) && seq < seqs.(p)) then begin
       times.(!i) <- times.(p);
       seqs.(!i) <- seqs.(p);
-      labels.(!i) <- labels.(p);
-      runs.(!i) <- runs.(p);
+      slots.(!i) <- slots.(p);
       i := p
     end
     else continue := false
   done;
   times.(!i) <- time;
   seqs.(!i) <- seq;
-  labels.(!i) <- label;
-  runs.(!i) <- run
+  slots.(!i) <- slot
 
-(* Remove the minimum entry; callers read the root first.  The freed
-   slot's run thunk is cleared so popped closures do not outlive their
-   firing. *)
+(* The minimum entry's payload; [q_time.(0)] and [q_seq.(0)] are its key. *)
+let[@inline] q_root_label h = h.s_label.(h.q_slot.(0))
+let[@inline] q_root_run h = h.s_run.(h.q_slot.(0))
+
+(* Remove the minimum entry; callers read the root first.  Its run thunk
+   is cleared so a popped closure does not outlive its firing. *)
 let q_drop h =
-  h.q_size <- h.q_size - 1;
-  let n = h.q_size in
-  let times = h.q_time and seqs = h.q_seq and labels = h.q_label and runs = h.q_run in
+  let n = h.q_size - 1 in
+  h.q_size <- n;
+  let times = h.q_time and seqs = h.q_seq and slots = h.q_slot in
+  let root = slots.(0) in
+  h.s_run.(root) <- nop;
+  h.s_free.(Array.length times - n - 1) <- root;
   if n > 0 then begin
-    let time = times.(n) and seq = seqs.(n) in
-    let label = labels.(n) and run = runs.(n) in
-    runs.(n) <- nop;
+    let time = times.(n) and seq = seqs.(n) and slot = slots.(n) in
     let i = ref 0 in
     let continue = ref true in
     while !continue do
@@ -214,8 +247,7 @@ let q_drop h =
         if times.(c) < time || (times.(c) = time && seqs.(c) < seq) then begin
           times.(!i) <- times.(c);
           seqs.(!i) <- seqs.(c);
-          labels.(!i) <- labels.(c);
-          runs.(!i) <- runs.(c);
+          slots.(!i) <- slots.(c);
           i := c
         end
         else continue := false
@@ -223,10 +255,48 @@ let q_drop h =
     done;
     times.(!i) <- time;
     seqs.(!i) <- seq;
-    labels.(!i) <- label;
-    runs.(!i) <- run
+    slots.(!i) <- slot
   end
-  else runs.(0) <- nop
+
+(* The same-instant lane: a FIFO ring, of power-of-two capacity, of the
+   events due at exactly [now].  Its entries carry no time and come in
+   increasing seq. *)
+type lane = {
+  mutable l_seq : int array;
+  mutable l_label : label array;
+  mutable l_run : (unit -> unit) array;
+  mutable l_head : int;
+  mutable l_len : int;
+}
+
+let lane_create () = { l_seq = [||]; l_label = [||]; l_run = [||]; l_head = 0; l_len = 0 }
+
+(* Called when full: the entries are unrolled to start at index 0. *)
+let lane_grow l =
+  let cap = Array.length l.l_seq in
+  let cap' = if cap = 0 then 64 else cap * 2 in
+  let unroll a fill =
+    Array.init cap' (fun k -> if k < cap then a.((l.l_head + k) land (cap - 1)) else fill)
+  in
+  l.l_seq <- unroll l.l_seq 0;
+  l.l_label <- unroll l.l_label no_label;
+  l.l_run <- unroll l.l_run nop;
+  l.l_head <- 0
+
+let lane_push l ~seq ~label run =
+  if l.l_len = Array.length l.l_seq then lane_grow l;
+  let i = (l.l_head + l.l_len) land (Array.length l.l_seq - 1) in
+  l.l_seq.(i) <- seq;
+  l.l_label.(i) <- label;
+  l.l_run.(i) <- run;
+  l.l_len <- l.l_len + 1
+
+(* Remove the head entry; callers read it first. *)
+let lane_drop l =
+  let i = l.l_head in
+  l.l_run.(i) <- nop;
+  l.l_head <- (i + 1) land (Array.length l.l_seq - 1);
+  l.l_len <- l.l_len - 1
 
 (* --- re-armable timers --- *)
 
@@ -251,6 +321,7 @@ type t = {
   mutable now : float;
   mutable seq : int;
   heap : eheap;
+  lane : lane;  (** pending events due at exactly [now] *)
   (* The armed timers, densely packed in [armed.(0 .. n_armed-1)], and
      the earliest of them in (time, seq) order ([never] when none). *)
   mutable armed : timer array;
@@ -263,7 +334,7 @@ type t = {
   mutable tb_seq : int array;
   mutable tb_label : label array;
   mutable tb_run : (unit -> unit) array;
-  mutable tb_tm : timer array;  (** the entry's timer; [never] for heap entries *)
+  mutable tb_tm : timer array;  (** the entry's timer; [never] for heap and lane entries *)
 }
 
 (** Raised by [at] when asked to schedule an event before [now].  The
@@ -298,6 +369,7 @@ let create ?(schedule = Fifo) () =
     now = 0.0;
     seq = 0;
     heap = q_create ();
+    lane = lane_create ();
     armed = [||];
     n_armed = 0;
     first = never;
@@ -311,7 +383,7 @@ let create ?(schedule = Fifo) () =
 
 let now t = t.now
 let events_fired t = t.fired
-let pending t = t.heap.q_size + t.n_armed
+let pending t = t.heap.q_size + t.lane.l_len + t.n_armed
 
 let[@inline] check_future t time =
   if time < t.now then
@@ -329,14 +401,21 @@ let jitter t time =
       time +. Rng.float delays max_delay
   | _ -> time
 
+(* Queue an event: one due at exactly [now] joins the lane (its seq is
+   the largest yet), any other the heap. *)
+let[@inline] push t ~time ~seq ~label run =
+  if time = t.now then lane_push t.lane ~seq ~label run
+  else q_push t.heap ~time ~seq ~label run
+
 (** [at t ?label time f] schedules [f] to fire at absolute [time].
     Requires [time >= now t].  [label] (default: unknown) declares the
     event's dependency footprint for {!Guided} exploration. *)
 let at t ?(label = no_label) time f =
   check_future t time;
   let time = jitter t time in
-  q_push t.heap ~time ~seq:t.seq ~label f;
-  t.seq <- t.seq + 1
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  push t ~time ~seq ~label f
 
 (* [a] fires before [b]. *)
 let[@inline] earlier a b = a.tm_time < b.tm_time || (a.tm_time = b.tm_time && a.tm_seq < b.tm_seq)
@@ -390,7 +469,7 @@ let arm t tm ?(label = no_label) ?(keep = false) time f =
     else if earlier tm t.first then t.first <- tm
   end
 
-(* The next event is the first armed timer rather than the heap root. *)
+(* The first armed timer comes before the heap root. *)
 let[@inline] timer_next t =
   let tm = t.first in
   tm != never
@@ -400,11 +479,35 @@ let[@inline] timer_next t =
   || tm.tm_time < h.q_time.(0)
   || (tm.tm_time = h.q_time.(0) && tm.tm_seq < h.q_seq.(0))
 
-(* The next event, if any, is later than [until]; [from_timer] is
-   [timer_next t]. *)
-let[@inline] next_after t ~from_timer until =
-  if from_timer then t.first.tm_time > until
-  else t.heap.q_size > 0 && t.heap.q_time.(0) > until
+(* Where the next pending event is. *)
+type source = Nothing | From_lane | From_heap | From_timer
+
+(* The least (time, seq) among the lane head, the heap root and the
+   first armed timer.  The lane head is due at [now], before which
+   nothing is pending, so only a heap root or a timer also due at [now],
+   with a smaller seq, can precede it. *)
+let[@inline] next_source t =
+  let l = t.lane in
+  if l.l_len > 0 then begin
+    let h = t.heap and tm = t.first in
+    let s = l.l_seq.(l.l_head) in
+    let heap_first = h.q_size > 0 && h.q_time.(0) = t.now && h.q_seq.(0) < s in
+    let s = if heap_first then h.q_seq.(0) else s in
+    if tm.tm_time = t.now && tm.tm_seq < s then From_timer
+    else if heap_first then From_heap
+    else From_lane
+  end
+  else if timer_next t then From_timer
+  else if t.heap.q_size > 0 then From_heap
+  else Nothing
+
+(* The next event, from [src], is later than [until]. *)
+let[@inline] due_after t src until =
+  match src with
+  | Nothing -> false
+  | From_lane -> t.now > until
+  | From_heap -> t.heap.q_time.(0) > until
+  | From_timer -> t.first.tm_time > until
 
 let fire_timer t tm =
   t.now <- tm.tm_time;
@@ -413,13 +516,27 @@ let fire_timer t tm =
   disarm t tm;
   run ()
 
+(* A lane entry is due now: the clock stays where it is. *)
+let[@inline] fire_lane t =
+  let l = t.lane in
+  t.fired <- t.fired + 1;
+  let run = l.l_run.(l.l_head) in
+  lane_drop l;
+  run ()
+
 let[@inline] fire_root t =
   let h = t.heap in
   t.now <- h.q_time.(0);
   t.fired <- t.fired + 1;
-  let run = h.q_run.(0) in
+  let run = q_root_run h in
   q_drop h;
   run ()
+
+let[@inline] fire t = function
+  | Nothing -> ()
+  | From_lane -> fire_lane t
+  | From_heap -> fire_root t
+  | From_timer -> fire_timer t t.first
 
 (** [after t ?label dt f] schedules [f] to fire [dt] seconds from now. *)
 let after t ?label dt f = at t ?label (now t +. dt) f
@@ -449,42 +566,59 @@ let tb_set t j ~seq ~label ~run ~tm =
   t.tb_run.(j) <- run;
   t.tb_tm.(j) <- tm
 
+(* Add an entry to the tie buffer's first [n], at its seq position. *)
+let tb_insert t n ~seq ~label ~run ~tm =
+  tb_ensure t (n + 1);
+  let j = ref n in
+  while !j > 0 && t.tb_seq.(!j - 1) > seq do
+    let i = !j - 1 in
+    tb_set t !j ~seq:t.tb_seq.(i) ~label:t.tb_label.(i) ~run:t.tb_run.(i) ~tm:t.tb_tm.(i);
+    j := i
+  done;
+  tb_set t !j ~seq ~label ~run ~tm
+
 (* Gather every event due at exactly the next event's time into the tie
-   buffer, in insertion order: the heap pops its ties FIFO, and each due
-   timer is inserted by its seq.  Heap entries leave the heap; timers
-   stay armed until one is fired.  Returns (time, count). *)
+   buffer, in seq order: the heap's ties, then the lane (non-empty only
+   when that time is [now]), then the due timers, each inserted by seq.
+   Heap and lane entries leave their store; timers stay armed until one
+   is fired.  Returns (time, count). *)
 let pop_ties t =
-  let h = t.heap in
-  let time = if timer_next t then t.first.tm_time else h.q_time.(0) in
+  let h = t.heap and l = t.lane in
+  let time =
+    match next_source t with
+    | From_lane -> t.now
+    | From_heap -> h.q_time.(0)
+    | From_timer | Nothing -> t.first.tm_time
+  in
   let n = ref 0 in
   while h.q_size > 0 && h.q_time.(0) = time do
-    tb_ensure t (!n + 1);
-    tb_set t !n ~seq:h.q_seq.(0) ~label:h.q_label.(0) ~run:h.q_run.(0) ~tm:never;
+    tb_insert t !n ~seq:h.q_seq.(0) ~label:(q_root_label h) ~run:(q_root_run h) ~tm:never;
     q_drop h;
+    incr n
+  done;
+  while l.l_len > 0 do
+    let i = l.l_head in
+    tb_insert t !n ~seq:l.l_seq.(i) ~label:l.l_label.(i) ~run:l.l_run.(i) ~tm:never;
+    lane_drop l;
     incr n
   done;
   for k = 0 to t.n_armed - 1 do
     let tm = t.armed.(k) in
     if tm.tm_time = time then begin
-      tb_ensure t (!n + 1);
-      let j = ref !n in
-      while !j > 0 && t.tb_seq.(!j - 1) > tm.tm_seq do
-        let i = !j - 1 in
-        tb_set t !j ~seq:t.tb_seq.(i) ~label:t.tb_label.(i) ~run:t.tb_run.(i) ~tm:t.tb_tm.(i);
-        j := i
-      done;
-      tb_set t !j ~seq:tm.tm_seq ~label:tm.tm_label ~run:tm.tm_run ~tm;
+      tb_insert t !n ~seq:tm.tm_seq ~label:tm.tm_label ~run:tm.tm_run ~tm;
       incr n
     end
   done;
   (time, !n)
 
-(* Fire tie [i], pushing the other heap entries back with their original
-   [seq] so a later pop sees them in unchanged relative order. *)
+(* Fire tie [i], queueing the other heap and lane entries again with
+   their own [(time, seq)] so a later pop sees them in unchanged
+   relative order.  The lane is empty here ([pop_ties] took it all), so
+   entries due [now] re-enter it in seq order. *)
 let fire_choice t time n i =
   for j = 0 to n - 1 do
     if j <> i && t.tb_tm.(j) == never then
-      q_push t.heap ~time ~seq:t.tb_seq.(j) ~label:t.tb_label.(j) t.tb_run.(j)
+      push t ~time ~seq:t.tb_seq.(j) ~label:t.tb_label.(j) t.tb_run.(j)
   done;
   let tm = t.tb_tm.(i) in
   if tm != never then fire_timer t tm
@@ -502,7 +636,7 @@ let step t =
   if pending t = 0 then false
   else begin
     (match t.sched with
-    | S_fifo -> if timer_next t then fire_timer t t.first else fire_root t
+    | S_fifo -> fire t (next_source t)
     | S_seeded rng | S_jittered { ties = rng; _ } ->
         let time, n = pop_ties t in
         if n = 1 then fire_choice t time 1 0
@@ -517,26 +651,26 @@ let step t =
     true
   end
 
-(** [run ?until ?max_events t] fires events until the heap is empty, the
-    clock passes [until], or [max_events] have fired.  Returns the reason
-    the run stopped. *)
+(** [run ?until ?max_events t] fires events until nothing is pending,
+    the clock passes [until], or [max_events] have fired.  Returns the
+    reason the run stopped. *)
 type stop_reason = Quiescent | Deadline | Event_budget
 
 let run ?until ?max_events t =
   let fired0 = t.fired in
   let until_v = match until with None -> Float.infinity | Some d -> d in
   let budget = match max_events with None -> max_int | Some m -> m in
-  let h = t.heap in
   let reason = ref Quiescent in
   let continue = ref true in
   (match t.sched with
   | S_fifo ->
       (* The hot loop: no allocation per event — the deadline check reads
          the next event's time directly and firing pops in place.  With
-         no timer armed, [timer_next] is one pointer compare. *)
+         the lane empty and no timer armed, finding the next event is
+         one length test and one pointer compare. *)
       while !continue do
-        let from_timer = timer_next t in
-        if next_after t ~from_timer until_v then begin
+        let src = next_source t in
+        if due_after t src until_v then begin
           t.now <- Float.max t.now until_v;
           reason := Deadline;
           continue := false
@@ -545,16 +679,16 @@ let run ?until ?max_events t =
           reason := Event_budget;
           continue := false
         end
-        else if from_timer then fire_timer t t.first
-        else if h.q_size = 0 then begin
-          reason := Quiescent;
-          continue := false
-        end
-        else fire_root t
+        else
+          match src with
+          | Nothing ->
+              reason := Quiescent;
+              continue := false
+          | _ -> fire t src
       done
   | _ ->
       while !continue do
-        if next_after t ~from_timer:(timer_next t) until_v then begin
+        if due_after t (next_source t) until_v then begin
           t.now <- Float.max t.now until_v;
           reason := Deadline;
           continue := false

@@ -18,7 +18,7 @@ let heap_pop st =
   if st.h.Engine.q_size = 0 then None
   else begin
     let time = st.h.Engine.q_time.(0) in
-    st.h.Engine.q_run.(0) ();
+    (Engine.q_root_run st.h) ();
     Engine.q_drop st.h;
     Some (time, Option.get !(st.cell))
   end
@@ -162,6 +162,98 @@ let test_timer_past_rejected () =
   ignore (Engine.run eng);
   Alcotest.(check bool) "raised Past_event" true !caught;
   Alcotest.(check int) "the earlier arm survived" 2 (Engine.events_fired eng)
+
+(* --- the same-instant lane --- *)
+
+(* At t=1.0: [e], a heap event [a] and a timer [t] were queued in that
+   order from t=0; [e] queues [z] with [after 0.0] and then [b] at [now].
+   [z] and [b] ride the lane, behind [a] and [t] (smaller seqs at the
+   same instant).  Under a first-candidate Guided schedule the tie sets
+   merge heap, lane and timer by seq. *)
+let test_lane_seq_order () =
+  let order schedule =
+    let eng = Engine.create ~schedule () in
+    let tm = Engine.timer () in
+    let log = ref [] in
+    let note s () = log := s :: !log in
+    Engine.at eng 1.0 (fun () ->
+        note "e" ();
+        Engine.after eng 0.0 (note "z");
+        Engine.at eng (Engine.now eng) (note "b"));
+    Engine.at eng 1.0 (note "a");
+    Engine.arm eng tm 1.0 (note "t");
+    ignore (Engine.run eng);
+    List.rev !log
+  in
+  Alcotest.(check (list string)) "fifo" [ "e"; "a"; "t"; "z"; "b" ] (order Engine.Fifo);
+  let widths = ref [] in
+  let guided =
+    Engine.Guided
+      (fun cands ->
+        widths := Array.length cands :: !widths;
+        0)
+  in
+  Alcotest.(check (list string)) "guided, always first" [ "e"; "a"; "t"; "z"; "b" ]
+    (order guided);
+  Alcotest.(check (list int)) "tie widths" [ 3; 4; 3; 2; 1 ] (List.rev !widths)
+
+let test_lane_counts () =
+  let eng = Engine.create () in
+  let heap_size () = eng.Engine.heap.Engine.q_size in
+  (* At t=0 an event [at 0.0] is due now: the lane holds it. *)
+  for _ = 1 to 3 do
+    Engine.at eng 0.0 ignore
+  done;
+  Alcotest.(check int) "pending counts the lane" 3 (Engine.pending eng);
+  Alcotest.(check int) "the heap holds none" 0 (heap_size ());
+  (match Engine.run ~max_events:2 eng with
+  | Engine.Event_budget -> ()
+  | Engine.Quiescent | Engine.Deadline -> Alcotest.fail "expected the event budget");
+  Alcotest.(check int) "budget spent on lane entries" 2 (Engine.events_fired eng);
+  Alcotest.(check int) "one lane entry left" 1 (Engine.pending eng);
+  Alcotest.(check bool) "step fires it" true (Engine.step eng);
+  Alcotest.(check bool) "then nothing is pending" false (Engine.step eng);
+  (* A lane entry due at the deadline fires before the run stops. *)
+  let fired = ref [] and raised = ref false in
+  Engine.at eng 1.0 (fun () ->
+      for i = 1 to 2 do
+        Engine.after eng 0.0 (fun () -> fired := i :: !fired)
+      done;
+      Alcotest.(check int) "two lane entries and the later event" 3 (Engine.pending eng);
+      try Engine.at eng 0.5 ignore
+      with Engine.Past_event { pending; _ } ->
+        raised := true;
+        Alcotest.(check int) "Past_event counts the lane" 3 pending);
+  Engine.at eng 2.0 ignore;
+  (match Engine.run ~until:1.0 eng with
+  | Engine.Deadline -> ()
+  | Engine.Quiescent | Engine.Event_budget -> Alcotest.fail "expected the deadline");
+  Alcotest.(check (list int)) "lane drained before the deadline" [ 1; 2 ] (List.rev !fired);
+  Alcotest.(check int) "the later event still pending" 1 (Engine.pending eng);
+  Alcotest.(check bool) "Past_event was raised" true !raised
+
+(* Two zero-delay chains, 10,000 events each, started at t=0: they
+   alternate (FIFO), the clock never moves, at most two events are
+   pending, and the heap is never allocated. *)
+let test_lane_chain () =
+  let eng = Engine.create () in
+  let depth = 10_000 in
+  let log = ref [] in
+  let max_pending = ref 0 in
+  let rec link name i () =
+    log := (name, i) :: !log;
+    max_pending := max !max_pending (Engine.pending eng);
+    if i + 1 < depth then Engine.after eng 0.0 (link name (i + 1))
+  in
+  Engine.at eng 0.0 (link "a" 0);
+  Engine.at eng 0.0 (link "b" 0);
+  ignore (Engine.run eng);
+  let expect = List.concat (List.init depth (fun i -> [ ("a", i); ("b", i) ])) in
+  Alcotest.(check bool) "chains alternate" true (List.rev !log = expect);
+  Alcotest.(check int) "all fired" (2 * depth) (Engine.events_fired eng);
+  Alcotest.(check bool) "at most two pending" true (!max_pending <= 2);
+  Alcotest.(check int) "heap never allocated" 0 (Array.length eng.Engine.heap.Engine.q_time);
+  check_f "clock unmoved" 0.0 (Engine.now eng)
 
 (* Six handlers tied at t=1.0; the firing order is the schedule's
    tie-break permutation. *)
@@ -618,22 +710,25 @@ let qcheck_heap_interleaved =
 (* Random [at] / [arm] / re-arm / [step] interleavings against a
    sorted-list model: every step fires the model's minimum (time, seq)
    entry, where an armed timer is one entry that re-arming replaces (or,
-   with [keep], leaves alone when it is no later).  A Guided schedule
-   that always takes the first candidate goes through the tie-set path
-   and must agree with Fifo. *)
-type timer_op = At of int | Arm of int * int * bool | Step
+   with [keep], leaves alone when it is no later).  [Zero] queues an
+   event due now ([at now] or [after 0.0]), which takes the lane.  A
+   Guided schedule that always takes the first candidate goes through
+   the tie-set path and must agree with Fifo. *)
+type timer_op = At of int | Zero of bool | Arm of int * int * bool | Step
 
 let gen_timer_op =
   QCheck.Gen.(
     frequency
       [
         (3, map (fun d -> At d) (int_bound 3));
+        (2, map (fun b -> Zero b) bool);
         (3, map3 (fun k d keep -> Arm (k, d, keep)) (int_bound 2) (int_bound 3) bool);
         (4, return Step);
       ])
 
 let print_timer_op = function
   | At d -> Printf.sprintf "At %d" d
+  | Zero b -> Printf.sprintf "Zero %b" b
   | Arm (k, d, keep) -> Printf.sprintf "Arm (%d, %d, %b)" k d keep
   | Step -> "Step"
 
@@ -664,6 +759,13 @@ let timer_model_agrees schedule ops =
           let time = Engine.now eng +. float_of_int d in
           Engine.at eng time (fun () -> log := id :: !log);
           events := (time, !seq, id) :: !events;
+          incr seq;
+          true
+      | Zero at_now ->
+          let id = !seq in
+          let f () = log := id :: !log in
+          if at_now then Engine.at eng (Engine.now eng) f else Engine.after eng 0.0 f;
+          events := (Engine.now eng, !seq, id) :: !events;
           incr seq;
           true
       | Arm (k, d, keep) ->
@@ -726,6 +828,11 @@ let suite =
     Alcotest.test_case "timer fires in seq order among ties" `Quick test_timer_seq_order;
     Alcotest.test_case "run until stops before a later timer" `Quick test_timer_deadline;
     Alcotest.test_case "timer rejects past arms" `Quick test_timer_past_rejected;
+    Alcotest.test_case "zero-delay events fire in seq order among ties" `Quick
+      test_lane_seq_order;
+    Alcotest.test_case "pending, until, budget and Past_event count the lane" `Quick
+      test_lane_counts;
+    Alcotest.test_case "zero-delay chain 10,000 deep stays off the heap" `Quick test_lane_chain;
     Alcotest.test_case "work advances time" `Quick test_proc_work_advances_time;
     Alcotest.test_case "round robin" `Quick test_proc_round_robin;
     Alcotest.test_case "block/wakeup" `Quick test_proc_block_wakeup;
