@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks of the real (host) hot paths: the
    simulator's event queue, the memory image, the state tables, the
-   interpreter, and the rewriter.  These measure OCaml execution cost,
-   complementing the simulated-time experiments. *)
+   interpreter, the rewriter, and the runtime's checked accesses.  These
+   measure OCaml execution cost, complementing the simulated-time
+   experiments. *)
 
 open Bechamel
 open Toolkit
@@ -95,6 +96,63 @@ let rng_stream =
         ignore (Sim.Rng.int rng 1000)
       done))
 
+(* The checked-access hit path: every API-mode entry point, issued by a
+   process of a 1-node cluster (as perfbench's [hit_ns] does) on 64
+   words of lines it holds exclusive, so no access leaves the inline
+   check.  Built inside that process, which owns the runtime handle. *)
+let hit_path h ~base =
+  let module R = Shasta.Runtime in
+  let each name f =
+    Test.make ~name
+      (Staged.stage (fun () ->
+           for i = 0 to 63 do
+             f (base + (8 * i))
+           done))
+  in
+  let v = 0x1234L in
+  Alpha.Insn.
+    [
+      each "Runtime.load W32 hit x64" (fun a -> ignore (R.load h a W32));
+      each "Runtime.load W64 hit x64" (fun a -> ignore (R.load h a W64));
+      each "Runtime.store W32 hit x64" (fun a -> R.store h a W32 v);
+      each "Runtime.store W64 hit x64" (fun a -> R.store h a W64 v);
+      each "Runtime.load_batched W64 hit x64" (fun a -> ignore (R.load_batched h a W64));
+      each "Runtime.store_batched W64 hit x64" (fun a -> R.store_batched h a W64 v);
+    ]
+
+let run_test test =
+  let instances = Instance.[ monotonic_clock ] in
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"micro" [ test ]) in
+  let results = Analyze.all ols Instance.monotonic_clock raw in
+  Hashtbl.iter
+    (fun name result ->
+      match Analyze.OLS.estimates result with
+      | Some (t :: _) -> Printf.printf "%-44s %12.1f ns/run\n" name t
+      | Some [] | None -> Printf.printf "%-44s (no estimate)\n" name)
+    results
+
+let run_hit_path () =
+  let module C = Shasta.Cluster in
+  let cl =
+    C.create
+      {
+        Shasta.Config.default with
+        Shasta.Config.net =
+          { Mchan.Net.default_config with Mchan.Net.nodes = 1; cpus_per_node = 1 };
+      }
+  in
+  let base = C.alloc ~granularity:64 cl (8 * 64) in
+  ignore
+    (C.spawn cl ~cpu:0 "hits" (fun h ->
+         for i = 0 to 63 do
+           Shasta.Runtime.store h (base + (8 * i)) Alpha.Insn.W64 1L
+         done;
+         Shasta.Runtime.mb h;
+         List.iter run_test (hit_path h ~base)));
+  ignore (C.run cl)
+
 let run_micro () =
   let tests =
     [
@@ -108,19 +166,7 @@ let run_micro () =
       rng_stream;
     ]
   in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   Printf.printf "\nBechamel micro-benchmarks (host execution time)\n";
   Printf.printf "------------------------------------------------\n";
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"micro" [ test ]) in
-      let results = Analyze.all ols Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some (t :: _) -> Printf.printf "%-44s %12.1f ns/run\n" name t
-          | Some [] | None -> Printf.printf "%-44s (no estimate)\n" name)
-        results)
-    tests
+  List.iter run_test tests;
+  run_hit_path ()

@@ -99,9 +99,11 @@ let () =
   else begin
     let rates =
       match List.map float_of_string_opt (String.split_on_char ',' !sweep) with
-      | rates when List.for_all (function Some r -> r > 0.0 | None -> false) rates ->
+      | rates
+        when List.for_all (function Some r -> Float.is_finite r && r > 0.0 | None -> false) rates
+        ->
           List.map Option.get rates
-      | _ -> die "--sweep expects comma-separated positive rates"
+      | _ -> die "--sweep expects comma-separated positive finite rates"
     in
     let points = S.sweep ~cluster_cfg ~cfg rates in
     Format.printf "%a" S.pp_sweep points;

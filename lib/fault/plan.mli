@@ -48,7 +48,8 @@ val is_empty : t -> bool
 (** [create ?seed ?default ?links ?outages ()] — [default] applies to
     every directed link without an entry in [links] (keys are
     [(src_node, dst_node)]).  Raises [Invalid_argument] on probabilities
-    outside [0, 1], sums above 1, or negative times. *)
+    outside [0, 1] (NaN included), sums above 1, or times and delay
+    bounds that are negative or not finite. *)
 val create :
   ?seed:int ->
   ?default:link_faults ->

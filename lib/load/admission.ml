@@ -50,15 +50,17 @@ let of_spec s =
       | _ -> fail ())
   | [ "queue"; cap; timeout ] -> (
       match (int_of_string_opt cap, float_of_string_opt timeout) with
-      | Some cap, Some timeout when cap > 0 && timeout > 0.0 -> queue ~cap ~timeout
+      | Some cap, Some timeout when cap > 0 && Float.is_finite timeout && timeout > 0.0 ->
+          queue ~cap ~timeout
       | _ -> fail ())
   | _ -> fail ()
 
+(** [to_spec p] — the spec [of_spec] parses back to [p]. *)
 let to_spec p =
   match (p.on_full, p.shed_timeout) with
   | Drop_new, _ -> Printf.sprintf "drop:%d" p.cap
   | Reject_new, t when t = infinity -> Printf.sprintf "reject:%d" p.cap
-  | Reject_new, t -> Printf.sprintf "queue:%d:%g" p.cap t
+  | Reject_new, t -> Printf.sprintf "queue:%d:%s" p.cap (Arrival.float_to_spec t)
 
 (** The queue itself.  Entries carry their admission instant so dequeue
     can apply the shed timeout; counters feed the latency report. *)

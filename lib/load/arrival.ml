@@ -23,11 +23,15 @@ type process =
   | Poisson of { rate : float }
   | Mmpp of { rate0 : float; dwell0 : float; rate1 : float; dwell1 : float }
 
+(* Written so that NaN fails too: every comparison with NaN is false. *)
+let positive x = Float.is_finite x && x > 0.0
+
 let validate = function
-  | Poisson { rate } -> if rate <= 0.0 then invalid_arg "Arrival: rate must be positive"
+  | Poisson { rate } ->
+      if not (positive rate) then invalid_arg "Arrival: rate must be positive and finite"
   | Mmpp { rate0; dwell0; rate1; dwell1 } ->
-      if rate0 <= 0.0 || rate1 <= 0.0 || dwell0 <= 0.0 || dwell1 <= 0.0 then
-        invalid_arg "Arrival: MMPP rates and dwell times must be positive"
+      if not (positive rate0 && positive rate1 && positive dwell0 && positive dwell1) then
+        invalid_arg "Arrival: MMPP rates and dwell times must be positive and finite"
 
 (** [mean_rate p] — the long-run arrival rate (requests/second). *)
 let mean_rate = function
@@ -118,7 +122,19 @@ let of_spec s =
           | _ -> fail ())
       | _ -> fail ())
 
+(** [float_to_spec x] — [x] as a spec number that {!of_spec} reads back
+    exactly: ["%g"] (six significant digits) when that is exact, so
+    round values print as they always have, otherwise the fewest digits
+    that are.  Shared by this library's spec printers. *)
+let float_to_spec x =
+  let rec go digits =
+    let s = Printf.sprintf "%.*g" digits x in
+    if digits >= 17 || float_of_string s = x then s else go (digits + 1)
+  in
+  go 6
+
+(** [to_spec p] — the spec [of_spec] parses back to [p]. *)
 let to_spec = function
-  | Poisson { rate } -> Printf.sprintf "poisson:%g" rate
+  | Poisson { rate } -> "poisson:" ^ float_to_spec rate
   | Mmpp { rate0; dwell0; rate1; dwell1 } ->
-      Printf.sprintf "mmpp:%g,%g,%g,%g" rate0 dwell0 rate1 dwell1
+      "mmpp:" ^ String.concat "," (List.map float_to_spec [ rate0; dwell0; rate1; dwell1 ])

@@ -100,7 +100,9 @@ let validate_config cfg =
   if cfg.clients <= 0 then invalid_arg "Serve: clients must be positive";
   if cfg.window <= 0 then invalid_arg "Serve: window must be >= 1";
   if cfg.server_cpus = [] then invalid_arg "Serve: need at least one server cpu";
-  if cfg.scan_share < 0.0 || cfg.scan_share > 1.0 then invalid_arg "Serve: scan_share";
+  if not (Float.is_finite cfg.duration && cfg.duration > 0.0) then
+    invalid_arg "Serve: duration must be positive and finite";
+  if not (cfg.scan_share >= 0.0 && cfg.scan_share <= 1.0) then invalid_arg "Serve: scan_share";
   if cfg.scan_pages >= cfg.pages then invalid_arg "Serve: scan_pages >= pages"
 
 (** [run ?cluster_cfg cfg] — one open-loop serving run at [cfg]'s

@@ -155,25 +155,17 @@ let nth_cpu t i =
   let per = t.config.cpus_per_node in
   t.cpus.(i / per).(i mod per)
 
-(** [send t ?at ?block ~src_node ~dst_node ~size deliver] transmits a
-    message; [deliver] runs at the arrival time (it should enqueue into
-    the right mailbox), after which the destination node's signal is
-    pulsed.  [at] defaults to the current time; protocol handlers that
-    service several messages back-to-back pass their time cursor.
-    [block] declares the coherence block the message concerns (default
-    none): the delivery event is labeled with it plus the destination
-    node, so a {!Sim.Engine.Guided} explorer can tell which same-time
-    deliveries commute. *)
 (* Put one frame on the wire: through the reliable transport when a
-   fault plan is active, raw link + latency otherwise. *)
-let wire_send t ~at ~src_node ~dst_node ~size deliver =
+   fault plan is active, raw link + latency otherwise, its delivery
+   event labeled [label]. *)
+let wire_send t ~label ~at ~src_node ~dst_node ~size deliver =
   match t.reliable with
   | Some r -> Reliable.send r ~at ~src_node ~dst_node ~size deliver
   | None ->
       let leaves = Link.transmit t.tx.(src_node) ~now:at ~size in
       let arrival = leaves +. t.config.one_way_latency in
       let pulse = t.pulse_dst.(dst_node) in
-      Sim.Engine.at t.engine ~label:t.msg_label.(dst_node) arrival (fun () ->
+      Sim.Engine.at t.engine ~label arrival (fun () ->
           deliver ();
           pulse ())
 
@@ -186,7 +178,7 @@ let flush_batch t ~src_node ~dst_node ~at p =
   p.p_delivers <- [];
   t.batches <- t.batches + 1;
   t.batched <- t.batched + p.p_count;
-  wire_send t ~at ~src_node ~dst_node ~size:p.p_bytes (fun () ->
+  wire_send t ~label:t.msg_label.(dst_node) ~at ~src_node ~dst_node ~size:p.p_bytes (fun () ->
       List.iter (fun d -> d ()) delivers)
 
 let coalesced_send t co ~now ~src_node ~dst_node ~size deliver =
@@ -240,6 +232,15 @@ let delivery_label t ~dst_node ~block =
   if block < 0 then t.msg_label.(dst_node)
   else { Sim.Engine.lbl_node = dst_node; lbl_block = block; lbl_kind = Sim.Engine.Message }
 
+(** [send t ?at ?block ~src_node ~dst_node ~size deliver] transmits a
+    message; [deliver] runs at the arrival time (it should enqueue into
+    the right mailbox), after which the destination node's signal is
+    pulsed.  [at] defaults to the current time; protocol handlers that
+    service several messages back-to-back pass their time cursor.
+    [block] declares the coherence block the message concerns (default
+    none): the delivery event is labeled with it plus the destination
+    node, so a {!Sim.Engine.Guided} explorer can tell which same-time
+    deliveries commute. *)
 let send t ?at ?(block = -1) ~src_node ~dst_node ~size deliver =
   let now = match at with Some x -> x | None -> Sim.Engine.now t.engine in
   if src_node = dst_node then begin
@@ -257,17 +258,9 @@ let send t ?at ?(block = -1) ~src_node ~dst_node ~size deliver =
     t.remote <- t.remote + 1;
     match t.config.coalescing with
     | Some co -> coalesced_send t co ~now ~src_node ~dst_node ~size deliver
-    | None -> (
-        match t.reliable with
-        | Some r -> Reliable.send r ~at:now ~src_node ~dst_node ~size deliver
-        | None ->
-            let label = delivery_label t ~dst_node ~block in
-            let leaves = Link.transmit t.tx.(src_node) ~now ~size in
-            let arrival = leaves +. t.config.one_way_latency in
-            let pulse = t.pulse_dst.(dst_node) in
-            Sim.Engine.at t.engine ~label arrival (fun () ->
-                deliver ();
-                pulse ()))
+    | None ->
+        wire_send t ~label:(delivery_label t ~dst_node ~block) ~at:now ~src_node ~dst_node ~size
+          deliver
   end
 
 let remote_messages t = t.remote

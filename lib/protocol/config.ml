@@ -122,7 +122,15 @@ let layout t =
   | [] -> Layout.uniform ~base:t.shared_base ~size:t.shared_size ~block:t.line_size ()
   | specs -> Layout.create ~base:t.shared_base ~size:t.shared_size specs
 
-let is_shared t addr = addr >= t.shared_base && addr < t.shared_base + t.shared_size
+(** [flag_value t w] — what a load of width [w] returns from an
+    invalidated word: the 32-bit flag sign-extended, as a 32-bit load
+    returns it, or replicated into both halves of a quadword. *)
+let flag_value t (w : Alpha.Insn.width) =
+  match w with
+  | Alpha.Insn.W32 -> Int64.of_int32 t.flag32
+  | Alpha.Insn.W64 ->
+      let lo = Int64.logand (Int64.of_int32 t.flag32) 0xFFFFFFFFL in
+      Int64.logor (Int64.shift_left lo 32) lo
 
 let mb_cost t =
   match t.variant with Base -> t.costs.mb_base | Smp -> t.costs.mb_smp

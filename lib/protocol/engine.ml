@@ -1573,13 +1573,11 @@ let issue pcb b kind mkind ?(sc_store = None) () =
       m_stores = [];
     }
   in
-  (match Hashtbl.find_opt pcb.outstanding b with
-  | Some old ->
-      Format.eprintf "ISSUE COLLISION pid%d blk=%d new=%s old=%s old_done=%b@." pcb.pid b
-        (match mkind with MRead -> "read" | MStore -> "store" | MSc -> "sc" | MPrefetch -> "pf")
-        (match old.m_kind with MRead -> "read" | MStore -> "store" | MSc -> "sc" | MPrefetch -> "pf")
-        old.m_done
-  | None -> ());
+  (* Every caller checks [outstanding] first: a second miss on the block
+     would overwrite the first and lose its waiter and recorded stores. *)
+  if Hashtbl.mem pcb.outstanding b then
+    failwith
+      (Printf.sprintf "Engine.issue: pid %d already has a miss outstanding on block %d" pcb.pid b);
   Hashtbl.replace pcb.outstanding b miss;
   (let r = t.rstats.(Layout.block_region t.layout b) in
    match mkind with
@@ -1681,14 +1679,6 @@ let ensure_read pcb addr =
   in
   go ()
 
-let flag_value t (w : Alpha.Insn.width) =
-  let f32 = t.cfg.Config.flag32 in
-  match w with
-  | Alpha.Insn.W32 -> Int64.of_int32 f32
-  | Alpha.Insn.W64 ->
-      let lo = Int64.logand (Int64.of_int32 f32) 0xFFFFFFFFL in
-      Int64.logor (Int64.shift_left lo 32) lo
-
 (** [load_miss pcb value addr w] — the slow path of the inline load check:
     the loaded [value] equalled the flag.  Distinguishes false misses from
     real ones; returns the definitive value.  Loops like the re-executed
@@ -1708,7 +1698,7 @@ let rec load_miss pcb addr w =
   | Ptypes.Invalid | Ptypes.Pending ->
       ensure_read pcb addr;
       let v = Memimg.read pcb.dom.img addr w in
-      if v = flag_value t w then load_miss pcb addr w else v
+      if v = Config.flag_value t.cfg w then load_miss pcb addr w else v
 
 (* Ensure the block is writable.  Like [ensure_read], all costs are
    charged before the final state inspection: the caller's store follows
@@ -1735,25 +1725,13 @@ let ensure_write pcb addr ~blocking =
         | Ptypes.Exclusive ->
             pcb.stats.intra_hits <- pcb.stats.intra_hits + 1;
             set_block_state_private ~why:"intra-write" pcb t b Ptypes.Exclusive
-        | Ptypes.Shared ->
+        | Ptypes.Shared | Ptypes.Invalid | Ptypes.Pending ->
+            (* A shared copy upgrades.  Under [Pending] a recall of our
+               exclusive copy, or a sibling's miss, is in flight: like an
+               invalid line, go through the home for the data. *)
             pcb.stats.store_misses <- pcb.stats.store_misses + 1;
-            let miss = issue pcb b Ptypes.Upgrade MStore () in
-            if blocking then begin
-              ignore (stall_until pcb ~bucket:`Write (fun () -> miss.m_done));
-              go ()
-            end
-        | Ptypes.Invalid ->
-            pcb.stats.store_misses <- pcb.stats.store_misses + 1;
-            let miss = issue pcb b Ptypes.Read_ex MStore () in
-            if blocking then begin
-              ignore (stall_until pcb ~bucket:`Write (fun () -> miss.m_done));
-              go ()
-            end
-        | Ptypes.Pending ->
-            (* A recall of our exclusive copy, or a sibling's miss, is in
-               flight: go through the home. *)
-            pcb.stats.store_misses <- pcb.stats.store_misses + 1;
-            let miss = issue pcb b Ptypes.Read_ex MStore () in
+            let kind = if shared = Ptypes.Shared then Ptypes.Upgrade else Ptypes.Read_ex in
+            let miss = issue pcb b kind MStore () in
             if blocking then begin
               ignore (stall_until pcb ~bucket:`Write (fun () -> miss.m_done));
               go ()
@@ -1782,10 +1760,6 @@ let store_miss pcb addr =
     reissue (Section 4.1). *)
 let raw_read pcb addr w = Memimg.read pcb.dom.img addr w
 
-(** [raw_read64 pcb addr] — width-free 8-byte read for the API-mode fast
-    paths; behaviourally [raw_read pcb addr W64]. *)
-let raw_read64 pcb addr = Memimg.read64 pcb.dom.img addr
-
 (** Region copies for OS syscall buffers (post-validation DMA). *)
 let raw_blit_out pcb ~addr ~len buf off = Memimg.blit_out pcb.dom.img ~addr ~len buf off
 
@@ -1797,16 +1771,16 @@ let raw_ll pcb addr w = Memimg.ll pcb.dom.img ~pid:pcb.pid addr w
 let raw_sc pcb addr w v = Memimg.sc pcb.dom.img ~pid:pcb.pid addr w v
 
 let raw_write pcb addr w v =
-  let t = pcb.eng in
-  let b = block_of_addr t addr in
-  if dbg_on then dbg b "[%.9f] WRITE 0x%x=%Ld pid%d dom%d (outstanding=%b st=%c/%c)"
-    (Sim.Engine.now (Mchan.Net.engine t.net)) addr v pcb.pid pcb.dom.dom_id
-    (Hashtbl.mem pcb.outstanding b)
-    (Ptypes.state_to_char (tab_get pcb.private_tab b))
-    (Ptypes.state_to_char (tab_get pcb.dom.shared_tab b));
-  (* The dominant case — no miss outstanding, no watched blocks — must
-     not hash or allocate. *)
-  (if Hashtbl.length pcb.outstanding > 0 || pcb.watch_blocks <> [] then
+  (* The dominant case — no miss outstanding, nothing watched or traced —
+     must not look up the block, hash or allocate. *)
+  (if dbg_on || Hashtbl.length pcb.outstanding > 0 || pcb.watch_blocks <> [] then
+     let t = pcb.eng in
+     let b = block_of_addr t addr in
+     if dbg_on then dbg b "[%.9f] WRITE 0x%x=%Ld pid%d dom%d (outstanding=%b st=%c/%c)"
+       (Sim.Engine.now (Mchan.Net.engine t.net)) addr v pcb.pid pcb.dom.dom_id
+       (Hashtbl.mem pcb.outstanding b)
+       (Ptypes.state_to_char (tab_get pcb.private_tab b))
+       (Ptypes.state_to_char (tab_get pcb.dom.shared_tab b));
      match Hashtbl.find_opt pcb.outstanding b with
      | Some miss -> miss.m_stores <- (addr, w, v) :: miss.m_stores
      | None ->
@@ -1818,14 +1792,6 @@ let raw_write pcb addr w v =
                pcb.reissue <- (addr, w, v) :: pcb.reissue
          end);
   Memimg.write ~pid:pcb.pid pcb.dom.img addr w v
-
-(** [raw_write64 pcb addr v] — 8-byte store fast path: behaviourally
-    [raw_write pcb addr W64 v], skipping the block lookup and hashing
-    when no miss is outstanding and nothing is watched or traced. *)
-let raw_write64 pcb addr v =
-  if dbg_on || Hashtbl.length pcb.outstanding > 0 || pcb.watch_blocks <> [] then
-    raw_write pcb addr Alpha.Insn.W64 v
-  else Memimg.write64 ~pid:pcb.pid pcb.dom.img addr v
 
 (** [mb pcb] — the protocol part of a memory barrier: complete all
     outstanding (non-blocking) stores and service pending invalidations. *)
@@ -1971,10 +1937,6 @@ let prefetch_excl pcb addr =
     | Ptypes.Shared -> ignore (issue pcb b Ptypes.Upgrade MPrefetch ())
     | Ptypes.Invalid -> ignore (issue pcb b Ptypes.Read_ex MPrefetch ())
   end
-
-(** [word_is_flag pcb addr] — used by the API-mode runtime to emulate the
-    inline value comparison. *)
-let word_is_flag pcb addr = Memimg.word_is_flag pcb.dom.img ~flag32:pcb.eng.cfg.Config.flag32 addr
 
 let stats pcb = pcb.stats
 let config t = t.cfg

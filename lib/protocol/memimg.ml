@@ -38,20 +38,23 @@ let dbg_write t addr what v =
 
 let block_of t addr = Layout.block_of_addr t.layout addr
 
-let in_range t addr width =
+let[@inline] check t addr width =
   let off = addr - t.base in
-  off >= 0 && off + width <= Bytes.length t.data
-
-let check t addr width =
-  if not (in_range t addr width) then
+  if off < 0 || off + width > Bytes.length t.data then
     invalid_arg (Printf.sprintf "Memimg: access at 0x%x outside the image" addr)
 
+(* [read] and [write] dispatch on the width first, so the byte count is a
+   constant in each branch: they are the checked accesses' hot path, and
+   a call out of this module for it showed there. *)
 let read t addr (w : Alpha.Insn.width) =
-  check t addr (Alpha.Insn.bytes_of_width w);
   let off = addr - t.base in
   match w with
-  | Alpha.Insn.W32 -> Int64.of_int32 (Bytes.get_int32_le t.data off)
-  | Alpha.Insn.W64 -> Bytes.get_int64_le t.data off
+  | Alpha.Insn.W32 ->
+      check t addr 4;
+      Int64.of_int32 (Bytes.get_int32_le t.data off)
+  | Alpha.Insn.W64 ->
+      check t addr 8;
+      Bytes.get_int64_le t.data off
 
 (* Clear other processes' monitors on the stored-to block. *)
 let break_monitors t ~block ~pid =
@@ -59,28 +62,18 @@ let break_monitors t ~block ~pid =
   | [] -> ()
   | ms -> t.monitors <- List.filter (fun m -> m.mon_block <> block || m.mon_pid = pid) ms
 
-let write ?(pid = -1) t addr (w : Alpha.Insn.width) v =
-  check t addr (Alpha.Insn.bytes_of_width w);
-  if debug_addr >= 0 then dbg_write t addr (Printf.sprintf "write(pid%d)" pid) v;
+let write ~pid t addr (w : Alpha.Insn.width) v =
   let off = addr - t.base in
-  (* [block_of] is only needed when a monitor could break. *)
-  (match t.monitors with [] -> () | _ -> break_monitors t ~block:(block_of t addr) ~pid);
-  match w with
-  | Alpha.Insn.W32 -> Bytes.set_int32_le t.data off (Int64.to_int32 v)
-  | Alpha.Insn.W64 -> Bytes.set_int64_le t.data off v
-
-(** [read64 t addr] / [write64 t ~pid addr v] — the 8-byte access path
-    without width dispatch, for the API-mode inline-check fast paths
-    (64-bit is the only width the array-based workloads use). *)
-let read64 t addr =
-  check t addr 8;
-  Bytes.get_int64_le t.data (addr - t.base)
-
-let write64 t ~pid addr v =
-  check t addr 8;
+  (match w with
+  | Alpha.Insn.W32 ->
+      check t addr 4;
+      Bytes.set_int32_le t.data off (Int64.to_int32 v)
+  | Alpha.Insn.W64 ->
+      check t addr 8;
+      Bytes.set_int64_le t.data off v);
   if debug_addr >= 0 then dbg_write t addr (Printf.sprintf "write(pid%d)" pid) v;
-  (match t.monitors with [] -> () | _ -> break_monitors t ~block:(block_of t addr) ~pid);
-  Bytes.set_int64_le t.data (addr - t.base) v
+  (* [block_of] is only needed when a monitor could break. *)
+  match t.monitors with [] -> () | _ -> break_monitors t ~block:(block_of t addr) ~pid
 
 (** [ll t ~pid addr w] performs a load-locked: reads and arms [pid]'s
     monitor on the block. *)
@@ -102,8 +95,7 @@ let monitor_armed t ~pid addr =
 (** [sc t ~pid addr w v] performs a store-conditional: succeeds iff
     [pid]'s monitor on the block is still armed.  Always disarms. *)
 let sc t ~pid addr w v =
-  let block = block_of t addr in
-  let armed = List.exists (fun m -> m.mon_pid = pid && m.mon_block = block) t.monitors in
+  let armed = monitor_armed t ~pid addr in
   t.monitors <- List.filter (fun m -> m.mon_pid <> pid) t.monitors;
   if armed then write ~pid t addr w v;
   armed
@@ -153,12 +145,6 @@ let write_block t ~block data =
   let changed = not (Bytes.equal data (Bytes.sub t.data dst_off len)) in
   Bytes.blit data 0 t.data dst_off len;
   if changed then break_monitors t ~block ~pid:(-1)
-
-(** [word_is_flag t ~flag32 addr] tests whether the aligned 4-byte word
-    at [addr] currently holds the flag value. *)
-let word_is_flag t ~flag32 addr =
-  let off = addr - t.base in
-  Bytes.get_int32_le t.data (off land lnot 3) = flag32
 
 (** [blit_out t ~addr ~len buf off] — copy raw image bytes out (used by
     the OS layer for syscall buffers after validation). *)

@@ -50,16 +50,3 @@ let uniprocessor =
   }
 
 let cycles t n = float_of_int n /. t.cpu_hz
-
-let shared_base t = t.protocol.Protocol.Config.shared_base
-let flag32 t = t.protocol.Protocol.Config.flag32
-
-let flag64 t =
-  let f = Int64.of_int32 (flag32 t) in
-  let lo = Int64.logand f 0xFFFFFFFFL in
-  Int64.logor (Int64.shift_left lo 32) lo
-
-let flag_value t (w : Alpha.Insn.width) =
-  match w with
-  | Alpha.Insn.W32 -> Int64.of_int32 (flag32 t) (* sign-extended, as a 32-bit load returns *)
-  | Alpha.Insn.W64 -> flag64 t

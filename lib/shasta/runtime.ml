@@ -34,8 +34,8 @@ type t = {
   sync : Sync.t;
   peng : E.t;
   private_mem : Bytes.t;
-  flag_w32 : int64;  (** [Config.flag_value cfg W32], precomputed *)
-  flag_w64 : int64;  (** [Config.flag_value cfg W64], precomputed *)
+  flag_w32 : int64;  (** [Protocol.Config.flag_value] at [W32], precomputed *)
+  flag_w64 : int64;  (** [Protocol.Config.flag_value] at [W64], precomputed *)
   img : Protocol.Memimg.t;  (** this process's domain image, cached *)
   shared_lo : int;  (** shared-range bounds, cached as immediates *)
   shared_hi : int;
@@ -67,17 +67,20 @@ let charge_cycles h n =
 let in_protocol h f =
   flush h;
   h.pcb.E.in_app := false;
-  let finally () = h.pcb.E.in_app := true in
-  (try
-     let r = f () in
-     finally ();
-     r
-   with e ->
-     finally ();
-     raise e)
+  match f () with
+  | r ->
+      h.pcb.E.in_app := true;
+      r
+  | exception e ->
+      h.pcb.E.in_app := true;
+      raise e
 
 let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
   let pcb = E.attach peng proc in
+  let checks = cfg.Config.checks in
+  let access = checks.Config.access_cycles in
+  (* An inline check's cycles, charged only when checks are on. *)
+  let checked n = if cfg.Config.checks_enabled then n else 0 in
   let ep = Sync.register sync ~pid:proc.Sim.Proc.pid ~node:proc.Sim.Proc.cpu.Sim.Proc.node_id in
   let h =
     {
@@ -88,23 +91,16 @@ let create ~cfg ~peng ~sync (proc : Sim.Proc.t) =
       sync;
       peng;
       private_mem = Bytes.make cfg.Config.private_mem_size '\000';
-      flag_w32 = Config.flag_value cfg Alpha.Insn.W32;
-      flag_w64 = Config.flag_value cfg Alpha.Insn.W64;
+      flag_w32 = Protocol.Config.flag_value cfg.Config.protocol Alpha.Insn.W32;
+      flag_w64 = Protocol.Config.flag_value cfg.Config.protocol Alpha.Insn.W64;
       img = pcb.E.dom.E.img;
       shared_lo = cfg.Config.protocol.Protocol.Config.shared_base;
       shared_hi =
         cfg.Config.protocol.Protocol.Config.shared_base
         + cfg.Config.protocol.Protocol.Config.shared_size;
-      c_load =
-        (if cfg.Config.checks_enabled then
-           cfg.Config.checks.Config.access_cycles + cfg.Config.checks.Config.load_check_cycles
-         else cfg.Config.checks.Config.access_cycles);
-      c_store =
-        (if cfg.Config.checks_enabled then
-           cfg.Config.checks.Config.access_cycles + cfg.Config.checks.Config.store_check_cycles
-         else cfg.Config.checks.Config.access_cycles);
-      c_batched =
-        cfg.Config.checks.Config.access_cycles + (if cfg.Config.checks_enabled then 1 else 0);
+      c_load = access + checked checks.Config.load_check_cycles;
+      c_store = access + checked checks.Config.store_check_cycles;
+      c_batched = access + checked 1;
       acc_cycles = 0;
       blocked_time = 0.0;
       accesses = 0;
@@ -154,152 +150,107 @@ let private_write h addr (w : Alpha.Insn.width) v =
   | Alpha.Insn.W32 -> Bytes.set_int32_le h.private_mem addr (Int64.to_int32 v)
   | Alpha.Insn.W64 -> Bytes.set_int64_le h.private_mem addr v
 
-(* --- API mode: the inline-check state machine, in function form --- *)
+(* --- the inline-check state machine ---
 
-(** [load h addr w] — a checked shared load: raw access, flag comparison,
-    protocol slow path on a (possibly false) miss. *)
-let load h addr w =
+   The checks the rewriter inserts (Section 2.2, 3.1), one helper each.
+   API mode wraps them with the access itself and its cycle charge; IR
+   mode ([alpha_runtime]) hands them to the interpreter as the pseudo-
+   instruction callbacks.  All take a shared address. *)
+
+(* The protocol entries stay out of line, so that the checks inline into
+   the accesses. *)
+let load_miss h addr w = in_protocol h (fun () -> E.load_miss h.pcb addr w)
+let store_miss h addr = in_protocol h (fun () -> E.store_miss h.pcb addr)
+
+(** [load_check h addr w v] — the flag comparison after a shared load
+    that returned [v]: on a match, the protocol tells a false miss from
+    a real one and returns the definitive value. *)
+let[@inline] load_check h addr w v = if v = flag h w then load_miss h addr w else v
+
+(** [store_check h addr] — the state-table check before a shared store:
+    enter the protocol unless the line is already exclusive. *)
+let[@inline] store_check h addr =
+  match E.private_state h.pcb addr with
+  | Protocol.Ptypes.Exclusive -> ()
+  | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
+      store_miss h addr
+
+(** [batch_check h accesses] — the combined check for a run of
+    accesses: the protocol is entered only when some shared line is not
+    in the needed state.  The inline part runs without suspension, so
+    the decision cannot go stale before the batched code that follows. *)
+let batch_check h accesses =
+  let shared = List.filter (fun (addr, _, _) -> is_shared h addr) accesses in
+  let ready (addr, _w, kind) =
+    match E.private_state h.pcb addr with
+    | Protocol.Ptypes.Exclusive -> true
+    | Protocol.Ptypes.Shared -> kind = Alpha.Insn.Load_acc
+    | Protocol.Ptypes.Invalid | Protocol.Ptypes.Pending -> false
+  in
+  if shared <> [] && not (List.for_all ready shared) then
+    in_protocol h (fun () -> E.batch h.pcb shared)
+
+(** [ll_check h addr] — before a load-locked: fetch the line if it is
+    invalid or pending, and remember its state for the SC. *)
+let ll_check h addr = in_protocol h (fun () -> E.ll_ensure h.pcb addr)
+
+(** [sc_check h addr w v] — before a store-conditional: run it in
+    hardware, or let the protocol perform (or fail) it (Section 3.1.2). *)
+let sc_check h addr w v = in_protocol h (fun () -> E.sc_check h.pcb addr w v)
+
+(* --- API mode: the checked accesses, in function form --- *)
+
+(* The one checked load: raw access, flag comparison, protocol slow path
+   on a (possibly false) miss.  Plain and batch-covered loads differ only
+   in the cycles charged for a shared ([cycles]) and a private
+   ([private_cycles]) address. *)
+let[@inline] checked_load h ~cycles ~private_cycles addr w =
   h.accesses <- h.accesses + 1;
-  if not (is_shared h addr) then begin
-    charge_cycles h h.cfg.Config.checks.Config.access_cycles;
+  if is_shared h addr then begin
+    charge_cycles h cycles;
+    let v = load_check h addr w (Protocol.Memimg.read h.img addr w) in
+    trace_access h ~store:false addr w v;
+    v
+  end
+  else begin
+    charge_cycles h private_cycles;
     private_read h addr w
   end
-  else begin
-    if h.cfg.Config.checks_enabled then
-      charge_cycles h
-        (h.cfg.Config.checks.Config.access_cycles + h.cfg.Config.checks.Config.load_check_cycles)
-    else charge_cycles h h.cfg.Config.checks.Config.access_cycles;
-    let v0 = E.raw_read h.pcb addr w in
-    let v =
-      if v0 = flag h w then
-        in_protocol h (fun () -> E.load_miss h.pcb addr w)
-      else v0
-    in
-    trace_access h ~store:false addr w v;
-    v
-  end
 
-(** [store h addr w v] — a checked shared store. *)
-let store h addr w v =
+(* The one checked store: state-table check, then the raw store (which
+   the protocol records for replay while a miss is outstanding). *)
+let[@inline] checked_store h ~cycles ~private_cycles addr w v =
   h.accesses <- h.accesses + 1;
-  if not (is_shared h addr) then begin
-    charge_cycles h h.cfg.Config.checks.Config.access_cycles;
+  if is_shared h addr then begin
+    charge_cycles h cycles;
+    store_check h addr;
+    E.raw_write h.pcb addr w v;
+    trace_access h ~store:true addr w v
+  end
+  else begin
+    charge_cycles h private_cycles;
     private_write h addr w v
   end
-  else begin
-    if h.cfg.Config.checks_enabled then
-      charge_cycles h
-        (h.cfg.Config.checks.Config.access_cycles + h.cfg.Config.checks.Config.store_check_cycles)
-    else charge_cycles h h.cfg.Config.checks.Config.access_cycles;
-    (match E.private_state h.pcb addr with
-    | Protocol.Ptypes.Exclusive -> ()
-    | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
-        in_protocol h (fun () -> E.store_miss h.pcb addr));
-    E.raw_write h.pcb addr w v;
-    trace_access h ~store:true addr w v
-  end
 
-(** [load_batched h addr w] — a load whose check was covered by a
-    preceding batched check (Section 2.2): the amortised inline cost is
-    about one cycle, but the flag comparison is still performed so a
+(** [load h addr w] / [store h addr w v] — a checked access. *)
+let[@inline] load h addr w =
+  checked_load h ~cycles:h.c_load ~private_cycles:h.cfg.Config.checks.Config.access_cycles addr w
+
+let[@inline] store h addr w v =
+  checked_store h ~cycles:h.c_store ~private_cycles:h.cfg.Config.checks.Config.access_cycles
+    addr w v
+
+(** [load_batched h addr w] / [store_batched h addr w v] — an access
+    whose check a preceding {!batch} covered (Section 2.2): about one
+    cycle of amortised inline cost, but the same coherence actions, so a
     line invalidated after the batch is refetched rather than misread. *)
-let load_batched h addr w =
-  h.accesses <- h.accesses + 1;
-  charge_cycles h (h.cfg.Config.checks.Config.access_cycles + if h.cfg.Config.checks_enabled then 1 else 0);
-  if not (is_shared h addr) then private_read h addr w
-  else begin
-    let v0 = E.raw_read h.pcb addr w in
-    let v =
-      if v0 = flag h w then
-        in_protocol h (fun () -> E.load_miss h.pcb addr w)
-      else v0
-    in
-    trace_access h ~store:false addr w v;
-    v
-  end
+let load_batched h addr w = checked_load h ~cycles:h.c_batched ~private_cycles:h.c_batched addr w
 
-(** [store_batched h addr w v] — a store whose check was covered by a
-    preceding batched check; same coherence actions, amortised cost. *)
 let store_batched h addr w v =
-  h.accesses <- h.accesses + 1;
-  charge_cycles h (h.cfg.Config.checks.Config.access_cycles + if h.cfg.Config.checks_enabled then 1 else 0);
-  if not (is_shared h addr) then private_write h addr w v
-  else begin
-    (match E.private_state h.pcb addr with
-    | Protocol.Ptypes.Exclusive -> ()
-    | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
-        in_protocol h (fun () -> E.store_miss h.pcb addr));
-    E.raw_write h.pcb addr w v;
-    trace_access h ~store:true addr w v
-  end
+  checked_store h ~cycles:h.c_batched ~private_cycles:h.c_batched addr w v
 
-(* --- width-specialised 64-bit paths ---
-
-   Behaviourally identical to the generic functions at [W64]; they skip
-   the width dispatch, read/write the image without the boxed-width
-   detour, and avoid the block lookup on the raw store.  The array-based
-   workloads do almost all their shared traffic through these. *)
-
-let load64 h addr =
-  h.accesses <- h.accesses + 1;
-  if not (is_shared h addr) then begin
-    charge_cycles h h.cfg.Config.checks.Config.access_cycles;
-    Bytes.get_int64_le h.private_mem addr
-  end
-  else begin
-    charge_cycles h h.c_load;
-    let v0 = Protocol.Memimg.read64 h.img addr in
-    let v =
-      if v0 = h.flag_w64 then in_protocol h (fun () -> E.load_miss h.pcb addr Alpha.Insn.W64)
-      else v0
-    in
-    trace_access h ~store:false addr Alpha.Insn.W64 v;
-    v
-  end
-
-let store64 h addr v =
-  h.accesses <- h.accesses + 1;
-  if not (is_shared h addr) then begin
-    charge_cycles h h.cfg.Config.checks.Config.access_cycles;
-    Bytes.set_int64_le h.private_mem addr v
-  end
-  else begin
-    charge_cycles h h.c_store;
-    (match E.private_state h.pcb addr with
-    | Protocol.Ptypes.Exclusive -> ()
-    | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
-        in_protocol h (fun () -> E.store_miss h.pcb addr));
-    E.raw_write64 h.pcb addr v;
-    trace_access h ~store:true addr Alpha.Insn.W64 v
-  end
-
-let load64_batched h addr =
-  h.accesses <- h.accesses + 1;
-  charge_cycles h h.c_batched;
-  if not (is_shared h addr) then Bytes.get_int64_le h.private_mem addr
-  else begin
-    let v0 = Protocol.Memimg.read64 h.img addr in
-    let v =
-      if v0 = h.flag_w64 then in_protocol h (fun () -> E.load_miss h.pcb addr Alpha.Insn.W64)
-      else v0
-    in
-    trace_access h ~store:false addr Alpha.Insn.W64 v;
-    v
-  end
-
-let store64_batched h addr v =
-  h.accesses <- h.accesses + 1;
-  charge_cycles h h.c_batched;
-  if not (is_shared h addr) then Bytes.set_int64_le h.private_mem addr v
-  else begin
-    (match E.private_state h.pcb addr with
-    | Protocol.Ptypes.Exclusive -> ()
-    | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
-        in_protocol h (fun () -> E.store_miss h.pcb addr));
-    E.raw_write64 h.pcb addr v;
-    trace_access h ~store:true addr Alpha.Insn.W64 v
-  end
-
+let load64 h addr = load h addr Alpha.Insn.W64
+let store64 h addr v = store h addr Alpha.Insn.W64 v
 let load_int h addr = Int64.to_int (load64 h addr)
 let store_int h addr v = store64 h addr (Int64.of_int v)
 let load_float h addr = Int64.float_of_bits (load64 h addr)
@@ -321,20 +272,8 @@ let work_cycles h n = charge_cycles h n
     plus, when running under Shasta, the inserted protocol fence. *)
 let mb h =
   charge_cycles h 9;
-  if h.cfg.Config.checks_enabled then in_protocol h (fun () -> E.mb h.pcb)
-  else if h.pcb.E.n_outstanding_stores > 0 then in_protocol h (fun () -> E.mb h.pcb)
-
-(* The inline part of a batched check: all lines already in the needed
-   state in the private table.  Runs without suspension, so the decision
-   cannot go stale before the batched code that follows. *)
-let batch_fast_path h accesses =
-  List.for_all
-    (fun (addr, _w, kind) ->
-      match E.private_state h.pcb addr with
-      | Protocol.Ptypes.Exclusive -> true
-      | Protocol.Ptypes.Shared -> kind = Alpha.Insn.Load_acc
-      | Protocol.Ptypes.Invalid | Protocol.Ptypes.Pending -> false)
-    accesses
+  if h.cfg.Config.checks_enabled || h.pcb.E.n_outstanding_stores > 0 then
+    in_protocol h (fun () -> E.mb h.pcb)
 
 (** [batch h accesses] — the combined check for a run of accesses, then
     the accesses themselves.  Like the inserted inline code, the check
@@ -343,9 +282,7 @@ let batch_fast_path h accesses =
 let batch h accesses =
   if h.cfg.Config.checks_enabled then
     charge_cycles h (2 + (2 * List.length accesses));
-  let shared = List.filter (fun (addr, _, _) -> is_shared h addr) accesses in
-  if shared <> [] && not (batch_fast_path h shared) then
-    in_protocol h (fun () -> E.batch h.pcb shared)
+  batch_check h accesses
 
 (* --- MP synchronisation --- *)
 
@@ -378,26 +315,33 @@ let as_sync h f =
   h.ep.Sync.sync_stall <- h.ep.Sync.sync_stall +. dr +. dw;
   r
 
+(* The API-mode LL/SC pair: check, instruction and their cycles
+   (ll_check + ll, sc_check + sc), traced like any other access; a
+   failed SC stores nothing and is not traced. *)
+let ll h addr w =
+  charge_cycles h (3 + 2);
+  ll_check h addr;
+  let v = E.raw_ll h.pcb addr w in
+  trace_access h ~store:false addr w v;
+  v
+
+let sc h addr w v =
+  charge_cycles h (4 + 2);
+  let ok =
+    match sc_check h addr w v with
+    | Alpha.Runtime.Run_in_hardware -> E.raw_sc h.pcb addr w v
+    | Alpha.Runtime.Handled ok -> ok
+  in
+  if ok then trace_access h ~store:true addr w v;
+  ok
+
 (** [atomic_add h addr delta] — LL/SC fetch-and-add through the full
     transparent path (inline checks, prefetch-free).  Returns the old
     value. *)
 let atomic_add h addr delta =
   let rec attempt () =
-    charge_cycles h (3 + 2) (* ll_check + ll *);
-    in_protocol h (fun () -> E.ll_ensure h.pcb addr);
-    let v = E.raw_ll h.pcb addr Alpha.Insn.W64 in
-    trace_access h ~store:false addr Alpha.Insn.W64 v;
-    let v' = Int64.add v (Int64.of_int delta) in
-    charge_cycles h (4 + 2) (* sc_check + sc *);
-    let ok =
-      match in_protocol h (fun () -> E.sc_check h.pcb addr Alpha.Insn.W64 v') with
-      | Alpha.Runtime.Run_in_hardware -> E.raw_sc h.pcb addr Alpha.Insn.W64 v'
-      | Alpha.Runtime.Handled ok -> ok
-    in
-    if ok then begin
-      trace_access h ~store:true addr Alpha.Insn.W64 v';
-      Int64.to_int v
-    end
+    let v = ll h addr Alpha.Insn.W64 in
+    if sc h addr Alpha.Insn.W64 (Int64.add v (Int64.of_int delta)) then Int64.to_int v
     else attempt ()
   in
   attempt ()
@@ -414,11 +358,7 @@ let sm_lock ?(prefetch = false) h addr =
       end;
       let pause = ref 2.0e-7 in
       let rec try_again () =
-        charge_cycles h (3 + 2);
-        in_protocol h (fun () -> E.ll_ensure h.pcb addr);
-        let v = E.raw_ll h.pcb addr Alpha.Insn.W32 in
-        trace_access h ~store:false addr Alpha.Insn.W32 v;
-        if v <> 0L then begin
+        if ll h addr Alpha.Insn.W32 <> 0L then begin
           (* Lock taken: spin, polling (the loop's inserted poll).  The
              pause backs off to bound the simulator's event rate; the
              added wake latency is well under the protocol round trip. *)
@@ -428,16 +368,7 @@ let sm_lock ?(prefetch = false) h addr =
           pause := Float.min (2.0 *. !pause) 2.0e-6;
           try_again ()
         end
-        else begin
-          charge_cycles h (4 + 2);
-          let ok =
-            match in_protocol h (fun () -> E.sc_check h.pcb addr Alpha.Insn.W32 1L) with
-            | Alpha.Runtime.Run_in_hardware -> E.raw_sc h.pcb addr Alpha.Insn.W32 1L
-            | Alpha.Runtime.Handled ok -> ok
-          in
-          if ok then trace_access h ~store:true addr Alpha.Insn.W32 1L
-          else try_again ()
-        end
+        else if not (sc h addr Alpha.Insn.W32 1L) then try_again ()
       in
       try_again ();
       mb h)
@@ -514,11 +445,6 @@ let pstats h = E.stats h.pcb
 (** Shared loads+stores this process issued in API mode. *)
 let accesses h = h.accesses
 
-(** [home_of h addr] — the current home domain of the block covering
-    [addr]: the static placement until a migration policy moves it. *)
-let home_of h addr =
-  E.home_domain_of_block h.peng (Protocol.Layout.block_of_addr (E.layout h.peng) addr)
-
 (** Requests this process re-issued after a bounce off a stale home. *)
 let bounces h = (E.stats h.pcb).E.bounces
 
@@ -528,36 +454,18 @@ let bounces h = (E.stats h.pcb).E.bounces
     raw accesses hit the node image (or private memory); the pseudo-
     instruction callbacks enter the protocol. *)
 let alpha_runtime h =
-  let dispatch_read addr w =
-    if is_shared h addr then E.raw_read h.pcb addr w else private_read h addr w
-  in
-  let dispatch_write addr w v =
-    if is_shared h addr then E.raw_write h.pcb addr w v else private_write h addr w v
-  in
   {
     Alpha.Runtime.hz = h.cfg.Config.cpu_hz;
-    load = dispatch_read;
-    store = dispatch_write;
+    load =
+      (fun addr w -> if is_shared h addr then E.raw_read h.pcb addr w else private_read h addr w);
+    store =
+      (fun addr w v ->
+        if is_shared h addr then E.raw_write h.pcb addr w v else private_write h addr w v);
     load_check =
-      (fun value addr w ->
-        if is_shared h addr && value = flag h w then
-          in_protocol h (fun () -> E.load_miss h.pcb addr w)
-        else value);
-    store_check =
-      (fun addr _w ->
-        if is_shared h addr then
-          match E.private_state h.pcb addr with
-          | Protocol.Ptypes.Exclusive -> ()
-          | Protocol.Ptypes.Invalid | Protocol.Ptypes.Shared | Protocol.Ptypes.Pending ->
-              in_protocol h (fun () -> E.store_miss h.pcb addr));
-    batch_check =
-      (fun accesses ->
-        let shared = List.filter (fun (a, _, _) -> is_shared h a) accesses in
-        if shared <> [] && not (batch_fast_path h shared) then
-          in_protocol h (fun () -> E.batch h.pcb shared));
-    ll =
-      (fun addr w ->
-        if is_shared h addr then E.raw_ll h.pcb addr w else private_read h addr w);
+      (fun value addr w -> if is_shared h addr then load_check h addr w value else value);
+    store_check = (fun addr _w -> if is_shared h addr then store_check h addr);
+    batch_check = batch_check h;
+    ll = (fun addr w -> if is_shared h addr then E.raw_ll h.pcb addr w else private_read h addr w);
     sc =
       (fun addr w v ->
         if is_shared h addr then E.raw_sc h.pcb addr w v
@@ -565,12 +473,10 @@ let alpha_runtime h =
           private_write h addr w v;
           true
         end);
-    ll_check =
-      (fun addr -> if is_shared h addr then in_protocol h (fun () -> E.ll_ensure h.pcb addr));
+    ll_check = (fun addr -> if is_shared h addr then ll_check h addr);
     sc_check =
       (fun addr w v ->
-        if is_shared h addr then in_protocol h (fun () -> E.sc_check h.pcb addr w v)
-        else Alpha.Runtime.Run_in_hardware);
+        if is_shared h addr then sc_check h addr w v else Alpha.Runtime.Run_in_hardware);
     mb = (fun () -> ());
     mb_check = (fun () -> in_protocol h (fun () -> E.mb h.pcb));
     poll = (fun () -> in_protocol h (fun () -> E.poll h.pcb));

@@ -40,6 +40,15 @@ let malformed =
     ([ "--nodes"; "0" ], "--nodes");
     ([ "--cpus"; "0" ], "--cpus");
     ([ "--faults"; "bogus" ], "Plan.of_spec");
+    (* Non-finite numbers: NaN fails every range comparison, so each
+       check must reject it explicitly. *)
+    ([ "--app"; "LU"; "--faults"; "drop=nan" ], "drop=nan");
+    ([ "--app"; "LU"; "--faults"; "dup=inf" ], "dup=inf");
+    ([ "--app"; "LU"; "--faults"; "delay=0.1:nan" ], "delay_max");
+    ([ "--app"; "LU"; "--faults"; "link=0-1:drop=nan" ], "drop=nan");
+    ([ "--app"; "LU"; "--faults"; "stall=1@nan:0.001" ], "Plan.stall");
+    ([ "--app"; "LU"; "--faults"; "stall=1@0.001:inf" ], "Plan.stall");
+    ([ "--app"; "LU"; "--faults"; "crash=0@inf" ], "Plan.crash");
     ([ "--granularity"; "bogus" ], "Layout.of_spec");
     ([ "--line"; "0" ], "block size 0");
     ([ "--app"; "bogus" ], "unknown application");
@@ -51,6 +60,16 @@ let serve_malformed =
   [
     ([ "--arrival"; "poisson:abc" ], "Arrival.of_spec");
     ([ "--arrival"; "foo" ], "Arrival.of_spec");
+    ([ "--arrival"; "poisson:inf" ], "Arrival");
+    ([ "--arrival"; "poisson:nan" ], "Arrival");
+    ([ "--arrival"; "mmpp:1000,nan,2000,0.01" ], "Arrival");
+    ([ "--admission"; "queue:64:nan" ], "Admission.of_spec");
+    ([ "--admission"; "queue:64:inf" ], "Admission.of_spec");
+    ([ "--faults"; "drop=nan" ], "drop=nan");
+    ([ "--duration"; "nan" ], "duration");
+    ([ "--duration"; "inf" ], "duration");
+    ([ "--scan-share"; "nan" ], "scan_share");
+    ([ "--sweep"; "1000,inf" ], "--sweep");
     ([ "--admission"; "bogus" ], "Admission.of_spec");
     ([ "--faults"; "zzz" ], "Plan.of_spec");
     ([ "--servers"; "0" ], "--servers");
@@ -84,6 +103,42 @@ let test_malformed () = check_malformed "shasta_run" malformed
 let test_serve_malformed () = check_malformed "shasta_serve" serve_malformed
 let test_litmus_malformed () = check_malformed "litmus" litmus_malformed
 
+(* The spec parsers behind those flags, fed random spec-like strings
+   (a keyword, then characters of the spec grammars): each either
+   parses or raises [Invalid_argument], which the programs turn into
+   their one-line error; any other exception would escape as a
+   backtrace. *)
+let gen_spec =
+  let keywords =
+    [ ""; "poisson:"; "mmpp:"; "drop:"; "reject:"; "queue:"; "seed="; "drop="; "delay=";
+      "stall="; "crash="; "link="; "fine=" ]
+  in
+  let chars = "0123456789.,:;=@-*+ekmnaifx " in
+  QCheck.Gen.(
+    map2 ( ^ ) (oneofl keywords)
+      (string_size ~gen:(map (String.get chars) (int_bound (String.length chars - 1)))
+         (int_range 0 24)))
+
+let parsers =
+  [
+    ("Arrival.of_spec", fun s -> ignore (Load.Arrival.of_spec s));
+    ("Admission.of_spec", fun s -> ignore (Load.Admission.of_spec s));
+    ("Fault.Plan.of_spec", fun s -> ignore (Fault.Plan.of_spec s));
+    ("Layout.specs_of_spec", fun s -> ignore (Protocol.Layout.specs_of_spec ~size:(1 lsl 20) s));
+  ]
+
+let qcheck_parsers_reject_cleanly =
+  QCheck.Test.make ~name:"spec parsers raise only Invalid_argument" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_spec)
+    (fun s ->
+      List.iter
+        (fun (name, parse) ->
+          try parse s with
+          | Invalid_argument _ -> ()
+          | e -> QCheck.Test.fail_reportf "%s %S raised %s" name s (Printexc.to_string e))
+        parsers;
+      true)
+
 let test_well_formed () =
   let code, stdout, stderr =
     run [ "--app"; "LU"; "--procs"; "4"; "--nodes"; "2"; "--cpus"; "2"; "--size"; "24" ]
@@ -100,4 +155,5 @@ let suite =
       test_serve_malformed;
     Alcotest.test_case "litmus negative counts exit 2 with one line" `Quick
       test_litmus_malformed;
+    QCheck_alcotest.to_alcotest qcheck_parsers_reject_cleanly;
   ]

@@ -62,7 +62,7 @@ let test_arrival_scale_and_specs () =
   List.iter
     (fun spec ->
       Alcotest.(check string) "spec round trip" spec (A.to_spec (A.of_spec spec)))
-    [ "poisson:50000"; "mmpp:10000,0.01,200000,0.002" ];
+    [ "poisson:50000"; "poisson:8000"; "poisson:1234567"; "mmpp:10000,0.01,200000,0.002" ];
   Alcotest.check_raises "bad spec"
     (Invalid_argument
        (Printf.sprintf "Arrival.of_spec %S; expected %s" "poison:10" A.spec_help))
@@ -91,8 +91,53 @@ let test_admission_policies () =
   | Some (2, `Shed) -> ()
   | _ -> Alcotest.fail "expected to shed request 2");
   Alcotest.(check bool) "empty" true (Adm.take q ~now:0.06 = None);
-  Alcotest.(check string) "queue spec round trip" "queue:256:0.02"
-    (Adm.to_spec (Adm.of_spec "queue:256:0.02"))
+  List.iter
+    (fun spec ->
+      Alcotest.(check string) "admission spec round trip" spec (Adm.to_spec (Adm.of_spec spec)))
+    [ "queue:256:0.02"; "queue:64:0.0123456789"; "drop:64"; "reject:8" ]
+
+(* --- spec round trips --- *)
+
+(* Positive finite floats: round values, values %g would shorten, and
+   arbitrary magnitudes. *)
+let gen_positive =
+  QCheck.Gen.(
+    oneof
+      [
+        map float_of_int (int_range 1 10_000_000);
+        float_range 1e-6 1e6;
+        map (fun x -> if Float.is_finite x && x > 0.0 then x else 1.0) pfloat;
+      ])
+
+let arb_arrival =
+  QCheck.make ~print:A.to_spec
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun rate -> A.Poisson { rate }) gen_positive;
+          map
+            (fun (rate0, dwell0, rate1, dwell1) -> A.Mmpp { rate0; dwell0; rate1; dwell1 })
+            (quad gen_positive gen_positive gen_positive gen_positive);
+        ])
+
+let arb_admission =
+  QCheck.make ~print:Adm.to_spec
+    QCheck.Gen.(
+      int_range 1 100_000 >>= fun cap ->
+      oneof
+        [
+          return (Adm.drop ~cap);
+          return (Adm.reject_fast ~cap);
+          map (fun timeout -> Adm.queue ~cap ~timeout) gen_positive;
+        ])
+
+let qcheck_arrival_round_trip =
+  QCheck.Test.make ~name:"Arrival.of_spec (to_spec p) = p" ~count:500 arb_arrival (fun p ->
+      A.of_spec (A.to_spec p) = p)
+
+let qcheck_admission_round_trip =
+  QCheck.Test.make ~name:"Admission.of_spec (to_spec p) = p" ~count:500 arb_admission
+    (fun p -> Adm.of_spec (Adm.to_spec p) = p)
 
 (* --- end-to-end serving --- *)
 
@@ -182,6 +227,8 @@ let suite =
     Alcotest.test_case "mmpp rate converges" `Quick test_mmpp_rate_converges;
     Alcotest.test_case "arrival scale and specs" `Quick test_arrival_scale_and_specs;
     Alcotest.test_case "admission policies" `Quick test_admission_policies;
+    QCheck_alcotest.to_alcotest qcheck_arrival_round_trip;
+    QCheck_alcotest.to_alcotest qcheck_admission_round_trip;
     Alcotest.test_case "serve determinism" `Quick test_serve_deterministic;
     Alcotest.test_case "serve under 5% drops" `Quick test_serve_under_faults;
     Alcotest.test_case "serve overload sheds" `Quick test_serve_overload_sheds;

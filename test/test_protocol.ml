@@ -7,6 +7,9 @@ module E = Protocol.Engine
 let base = P.Config.default.P.Config.shared_base
 let flag64 = 0xDEADBEEFDEADBEEFL
 
+(* Does the 4-byte word at [a] hold the invalid flag? *)
+let word_is_flag pcb a = E.raw_read pcb a Alpha.Insn.W32 = Int64.of_int32 0xDEADBEEFl
+
 type world = {
   net : Mchan.Net.t;
   eng : E.t;
@@ -649,11 +652,11 @@ let test_batch_defers_invalidation_flags () =
         Sim.Proc.stall (fun () ->
             match E.block_state pcb a with _, P.Ptypes.Invalid -> true | _ -> false);
         value_mid := E.raw_read pcb a Alpha.Insn.W64;
-        flag_mid := E.word_is_flag pcb a;
+        flag_mid := word_is_flag pcb a;
         pcb.E.in_batch <- false;
         pcb.E.batch_blocks <- [];
         E.poll pcb;
-        flag_after := E.word_is_flag pcb a)
+        flag_after := word_is_flag pcb a)
   in
   let _ =
     worker w ~cpu_i:2 (fun pcb ->

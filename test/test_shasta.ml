@@ -202,6 +202,167 @@ let test_breakdown_sane () =
   Alcotest.(check bool) "write stall occurred" true (b.Shasta.Breakdown.write >= 0.0);
   Alcotest.(check bool) "total positive" true (Shasta.Breakdown.total b > 0.0)
 
+(* --- the API-mode access contract ---
+
+   One checked access at a time, in a fresh 2-node cluster, on a private
+   address, on a shared line the process already holds exclusive, or on
+   a shared line homed on the other node that it has never touched.  The
+   same access can be issued through [alpha_runtime]'s callbacks, the
+   way the interpreter runs instrumented code. *)
+
+type where = Private | Hit | Miss
+
+(* What the home writes before the access.  Its low word has the top bit
+   set, so a W32 load must sign-extend it. *)
+let home_word = 0x1122334499AABBCCL
+let stored_word = 0x0102030455667788L
+let as_loaded w v = match w with Alpha.Insn.W32 -> Int64.of_int32 (Int64.to_int32 v) | W64 -> v
+
+(* Cycles the inline code of one access costs, from the cost table. *)
+let inline_cycles (c : Cfg.check_costs) ~store ~batched where =
+  if batched then c.Cfg.access_cycles + 1
+  else
+    match where with
+    | Private -> c.Cfg.access_cycles
+    | Hit | Miss ->
+        c.Cfg.access_cycles + if store then c.Cfg.store_check_cycles else c.Cfg.load_check_cycles
+
+type observed = {
+  value : int64;  (** a load's result; after a store, the word read back *)
+  cycles : int;  (** work time the access added, in cycles *)
+  reads : int;  (** read misses it counted *)
+  stores : int;  (** store misses it counted *)
+  count : int;  (** API-mode accesses it counted *)
+}
+
+let access_once ?(checks = Cfg.default_check_costs) ?(ir = false) ~store ~batched where w =
+  let cfg = { (small_cfg ~nodes:2 ~cpus:1 ()) with Cfg.checks } in
+  let cl = C.create cfg in
+  let a = C.alloc ~granularity:64 cl 64 in
+  Protocol.Engine.set_home (C.protocol_engine cl) ~addr:a ~len:64 ~domain:1;
+  let addr = match where with Private -> 0x100 | Hit | Miss -> a in
+  let kind = if store then Alpha.Insn.Store_acc else Alpha.Insn.Load_acc in
+  let seen = ref None in
+  ignore
+    (C.spawn cl ~cpu:1 "home" (fun h ->
+         R.store h a Alpha.Insn.W64 home_word;
+         R.barrier h ~id:1 ~parties:2;
+         R.barrier h ~id:2 ~parties:2));
+  ignore
+    (C.spawn cl ~cpu:0 "tester" (fun h ->
+         R.barrier h ~id:1 ~parties:2;
+         if where <> Miss then begin
+           R.store h addr Alpha.Insn.W64 home_word;
+           R.mb h
+         end;
+         let rt = R.alpha_runtime h in
+         let checked_load () = rt.Alpha.Runtime.load_check (rt.load addr w) addr w in
+         let access () =
+           match (ir, store) with
+           | false, false -> if batched then R.load_batched h addr w else R.load h addr w
+           | false, true ->
+               if batched then R.store_batched h addr w stored_word
+               else R.store h addr w stored_word;
+               0L
+           | true, _ ->
+               if batched then rt.batch_check [ (addr, w, kind) ]
+               else if store then rt.store_check addr w;
+               if store then begin
+                 rt.store addr w stored_word;
+                 0L
+               end
+               else checked_load ()
+         in
+         R.flush h;
+         let st = R.pstats h in
+         let t0 = h.R.proc.Sim.Proc.work_time and r0 = st.Protocol.Engine.read_misses in
+         let s0 = st.Protocol.Engine.store_misses and n0 = R.accesses h in
+         let v = access () in
+         R.flush h;
+         let dt = h.R.proc.Sim.Proc.work_time -. t0 in
+         let obs =
+           {
+             value = v;
+             cycles = int_of_float (Float.round (dt *. cfg.Cfg.cpu_hz));
+             reads = st.Protocol.Engine.read_misses - r0;
+             stores = st.Protocol.Engine.store_misses - s0;
+             count = R.accesses h - n0;
+           }
+         in
+         R.mb h;
+         let value = if not store then v else if ir then checked_load () else R.load h addr w in
+         seen := Some { obs with value };
+         R.barrier h ~id:2 ~parties:2));
+  ignore (C.run cl);
+  match !seen with Some o -> o | None -> Alcotest.fail "tester did not finish"
+
+(* Every case: load and store, W32 and W64, plain and batch-covered, on
+   each kind of address. *)
+let access_cases =
+  List.concat_map
+    (fun store ->
+      List.concat_map
+        (fun w ->
+          List.concat_map
+            (fun batched ->
+              List.map (fun where -> (store, w, batched, where)) [ Private; Hit; Miss ])
+            [ false; true ])
+        [ Alpha.Insn.W32; Alpha.Insn.W64 ])
+    [ false; true ]
+
+let case_name (store, w, batched, where) =
+  Printf.sprintf "%s%s %s %s"
+    (if store then "store" else "load")
+    (if batched then "_batched" else "")
+    (match w with Alpha.Insn.W32 -> "W32" | W64 -> "W64")
+    (match where with Private -> "private" | Hit -> "hit" | Miss -> "miss")
+
+let test_api_access_contract () =
+  (* A second cost table, every inline cost larger, separates the inline
+     charge from the protocol's own work time on a miss. *)
+  let big =
+    {
+      Cfg.default_check_costs with
+      Cfg.access_cycles = 20;
+      load_check_cycles = 30;
+      store_check_cycles = 70;
+    }
+  in
+  List.iter
+    (fun ((store, w, batched, where) as case) ->
+      let name = case_name case in
+      let o = access_once ~store ~batched where w in
+      let o_big = access_once ~checks:big ~store ~batched where w in
+      let want = as_loaded w (if store then stored_word else home_word) in
+      Alcotest.(check int64) (name ^ ": value") want o.value;
+      Alcotest.(check int64) (name ^ ": value, larger costs") want o_big.value;
+      Alcotest.(check int) (name ^ ": accesses counted") 1 o.count;
+      let c = inline_cycles Cfg.default_check_costs ~store ~batched where in
+      let c_big = inline_cycles big ~store ~batched where in
+      if where = Miss then
+        Alcotest.(check int)
+          (name ^ ": inline cycles over the miss")
+          (c_big - c) (o_big.cycles - o.cycles)
+      else begin
+        Alcotest.(check int) (name ^ ": cycles") c o.cycles;
+        Alcotest.(check int) (name ^ ": cycles, larger costs") c_big o_big.cycles
+      end;
+      let miss = where = Miss in
+      Alcotest.(check int) (name ^ ": read misses") (if miss && not store then 1 else 0) o.reads;
+      Alcotest.(check int) (name ^ ": store misses") (if miss && store then 1 else 0) o.stores)
+    access_cases
+
+let test_ir_callbacks_match_api () =
+  List.iter
+    (fun ((store, w, batched, where) as case) ->
+      let name = case_name case in
+      let api = access_once ~store ~batched where w in
+      let ir = access_once ~ir:true ~store ~batched where w in
+      Alcotest.(check int64) (name ^ ": value") api.value ir.value;
+      Alcotest.(check int) (name ^ ": read misses") api.reads ir.reads;
+      Alcotest.(check int) (name ^ ": store misses") api.stores ir.stores)
+    access_cases
+
 (* --- IR mode: transparent execution of instrumented binaries --- *)
 
 let lock_counter_program =
@@ -274,7 +435,9 @@ let test_uninstrumented_binary_reads_flags () =
   (* Make node 1's copy invalid: home everything at node 0. *)
   C.init ~homes:[ 0 ] cl;
   ignore (C.run cl);
-  Alcotest.(check int64) "flag value observed" (Cfg.flag64 Cfg.default) !seen
+  Alcotest.(check int64) "flag value observed"
+    (Protocol.Config.flag_value Cfg.default.Cfg.protocol Alpha.Insn.W64)
+    !seen
 
 let test_instrumented_same_program_reads_correctly () =
   let prog =
@@ -305,6 +468,8 @@ let suite =
     Alcotest.test_case "SM barrier" `Quick test_sm_barrier;
     Alcotest.test_case "checking overhead" `Quick test_checking_overhead;
     Alcotest.test_case "breakdown sane" `Quick test_breakdown_sane;
+    Alcotest.test_case "API load/store: value, cycles, misses" `Quick test_api_access_contract;
+    Alcotest.test_case "IR callbacks match API load/store" `Quick test_ir_callbacks_match_api;
     Alcotest.test_case "instrumented binary transparent" `Quick
       test_instrumented_binary_runs_transparently;
     Alcotest.test_case "uninstrumented binary reads flags" `Quick
