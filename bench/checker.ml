@@ -25,7 +25,7 @@ let measure ~check_invariants spec ~size =
   in
   let host = Unix.gettimeofday () -. t0 in
   if not ok then failwith (spec.Apps.Harness.name ^ " failed to validate");
-  (elapsed, host, Protocol.Engine.invariant_checks (Shasta.Cluster.protocol_engine cl))
+  (elapsed, host, Protocol.Invariant.checks (Shasta.Cluster.protocol_engine cl))
 
 let run_checker () =
   Printf.printf "\n== Invariant checker: host-time cost (4 procs, 2 nodes) ==\n";

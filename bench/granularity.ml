@@ -212,7 +212,7 @@ let run_granularity_smoke () =
   List.iter
     (fun (name, regions) ->
       let elapsed, cl = ocean_run ~check_invariants:true ~size:18 ~regions ~shared () in
-      let violations = E.check_quiescent (C.protocol_engine cl) in
+      let violations = Protocol.Invariant.check_quiescent (C.protocol_engine cl) in
       if violations <> [] then
         failwith (Printf.sprintf "%s: %s" name (String.concat "; " violations));
       Printf.printf "%-14s %.2f ms  (invariants + quiescence clean)\n" name (1000.0 *. elapsed))

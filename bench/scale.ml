@@ -121,7 +121,7 @@ let migratory_micro ~pairs ~blocks_per_pair ~laps ~inner ~homing =
   let t0 = Unix.gettimeofday () in
   let elapsed = C.run cl in
   let wall = Unix.gettimeofday () -. t0 in
-  let quiet = Protocol.Engine.check_quiescent (C.protocol_engine cl) in
+  let quiet = Protocol.Invariant.check_quiescent (C.protocol_engine cl) in
   let migrations, bounces, in_flight = C.migration_stats cl in
   (elapsed, wall, migrations, bounces, in_flight, quiet)
 
@@ -133,7 +133,7 @@ let smoke_run ~plan_spec spec =
   let plan = if plan_spec = "" then Fault.Plan.empty else Fault.Plan.of_spec plan_spec in
   let cl = Support.cluster ~nodes:64 ~cpus:1 ~invariants:true ~plan () in
   let elapsed, ok = Apps.Harness.run_spec cl spec ~nprocs:64 ~sync:Apps.Harness.Mp () in
-  let quiet = Protocol.Engine.check_quiescent (C.protocol_engine cl) in
+  let quiet = Protocol.Invariant.check_quiescent (C.protocol_engine cl) in
   (elapsed, ok, quiet)
 
 (* --- drivers -------------------------------------------------------- *)

@@ -202,14 +202,3 @@ let exhaustive ?(max_runs = 200) ?(max_depth = 8) scenario =
         s_choice_points = !deepest;
       };
   }
-
-let pp_failure ppf f =
-  Format.fprintf ppf "@[<v 2>%s:@ %a@]" f.f_schedule
-    (Format.pp_print_list Format.pp_print_string)
-    f.f_violations
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "%d runs, %d classes, depth %d%s%s" s.s_runs s.s_classes s.s_choice_points
-    (if s.s_complete then ", complete" else "")
-    (if s.s_truncated then ", truncated" else "")

@@ -6,8 +6,8 @@
     returns the violations found by {e any} layer:
 
     - the per-message coherence invariant checker
-      ({!Protocol.Engine.check_msg} via [check_invariants]);
-    - the quiescence sweep ({!Protocol.Engine.check_quiescent});
+      ({!Protocol.Invariant.check_msg} via [check_invariants]);
+    - the quiescence sweep ({!Protocol.Invariant.check_quiescent});
     - the scenario's own outcome check (e.g. Figure 2 legality);
     - the trace oracle ({!Trace.check}), with a full-SC witness demanded
       of [Sc]-model scenarios.
@@ -90,7 +90,7 @@ let run ?mutation scenario schedule =
      ignore (C.run ~until:scenario.deadline cl);
      completed := true
    with
-  | Protocol.Engine.Coherence_violation { block; time; violations = v } ->
+  | Protocol.Invariant.Coherence_violation { block; time; violations = v } ->
       note
         (List.map
            (fun s -> Printf.sprintf "invariant (block %d, t=%.9g): %s" block time s)
@@ -108,15 +108,15 @@ let run ?mutation scenario schedule =
                 scenario.name (R.pid h) scenario.deadline;
             ])
       (C.app_runtimes cl);
-    note (List.map (fun s -> "quiescence: " ^ s) (Protocol.Engine.check_quiescent peng));
+    note (List.map (fun s -> "quiescence: " ^ s) (Protocol.Invariant.check_quiescent peng));
     note (outcome_check ());
     note (Trace.check ~full:scenario.full_sc tr)
   end;
   {
     violations = !violations;
-    mutation_fired = Protocol.Engine.mutation_fires peng;
+    mutation_fired = Protocol.Invariant.mutation_fires peng;
     events = Trace.length tr;
-    legal_transients = Protocol.Engine.legal_transients peng;
+    legal_transients = Protocol.Invariant.legal_transients peng;
   }
 
 (* --- the scenarios ------------------------------------------------- *)

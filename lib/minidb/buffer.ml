@@ -70,7 +70,3 @@ let warm ctx t ~pages =
   for p = 0 to min pages t.nframes - 1 do
     pin ctx t ~page:p (fun _ -> ())
   done
-
-let hit_rate t =
-  if t.lookups = 0 then 1.0
-  else 1.0 -. (float_of_int t.misses /. float_of_int t.lookups)

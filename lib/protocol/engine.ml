@@ -17,42 +17,11 @@
       cost calibration and noted in DESIGN.md).
 
     Fiber-side entry points ([load_miss], [store_miss], [mb], [batch],
-    [sc_protocol], ...) are called from inside simulated processes and may
+    [sc_check], ...) are called from inside simulated processes and may
     stall; [service] is the poll hook, called from scheduler context, and
     only mutates state and sends messages. *)
 
-type miss_kind = MRead | MStore | MSc | MPrefetch
-
-type miss = {
-  m_block : int;
-  m_kind : miss_kind;
-  m_req : Ptypes.req_kind;
-      (** the request kind on the wire, re-sent verbatim when a bounce
-          (a [Home_hint]) reveals the request went to a stale home *)
-  mutable m_done : bool;
-  mutable m_sc_ok : bool;
-  m_sc_store : (int * Alpha.Insn.width * int64) option;
-  mutable m_stores : (int * Alpha.Insn.width * int64) list;
-      (** stores recorded while the miss was outstanding, replayed over
-          arriving data (non-blocking stores, Section 3.2.3) *)
-}
-
-type pstats = {
-  mutable read_misses : int;
-  mutable store_misses : int;
-  mutable sc_misses : int;
-  mutable intra_hits : int;
-  mutable false_misses : int;
-  mutable downgrades_direct : int;
-  mutable downgrades_msg : int;
-  mutable read_stall : float;
-  mutable write_stall : float;
-  mutable mb_stall : float;
-  mutable messages_handled : int;
-  mutable reissued_stores : int;
-  mutable bounces : int;
-      (** requests re-issued after a [Home_hint] (the home had moved) *)
-}
+include Engine_state
 
 let empty_pstats () =
   {
@@ -70,124 +39,6 @@ let empty_pstats () =
     reissued_stores = 0;
     bounces = 0;
   }
-
-type pcb = {
-  pid : int;
-  proc : Sim.Proc.t;
-  dom : domain;
-  eng : t;
-  private_tab : Bytes.t;
-  mailbox : Ptypes.msg Mchan.Mailbox.t;
-  outstanding : (int, miss) Hashtbl.t;
-  mutable n_outstanding_stores : int;
-  in_app : bool ref;  (** false while in protocol/syscalls: enables direct downgrade *)
-  mutable in_batch : bool;
-  mutable batch_blocks : int list;
-  mutable deferred_flags : int list;  (** blocks whose flag writes are delayed (Section 4.1) *)
-  mutable watch_blocks : int list;  (** post-batch store-reissue watch *)
-  mutable reissue : (int * Alpha.Insn.width * int64) list;  (** (addr, w, v) to re-issue *)
-  mutable last_ll : int option;  (** block of the last LL whose line was exclusive *)
-  mutable parked : Ptypes.msg list;
-      (** replies that arrived ahead of their per-block sequence order *)
-  stats : pstats;
-}
-
-and domain = {
-  dom_id : int;
-  dom_node : int;
-  img : Memimg.t;
-  shared_tab : Bytes.t;  (** node-level state, one byte per block *)
-  mutable members : pcb list;
-  dom_mailbox : Ptypes.msg Mchan.Mailbox.t;
-  dir : Directory.t;
-  pending_local : (int, local_txn) Hashtbl.t;
-      (** recalls waiting for intra-node private-table downgrades *)
-  applied_seq : (int, int) Hashtbl.t;
-      (** per block: how many home-originated ordered messages were applied *)
-  mutable parked_dom : Ptypes.msg list;
-      (** invalidations/recalls that arrived ahead of sequence order *)
-  home_hint : (int, int) Hashtbl.t;
-      (** this domain's (possibly stale) view of migrated homes: blocks
-          absent from the table are assumed to live at their static home.
-          Updated by [Home_hint] bounces and by the domain's own
-          transfers; never consulted when [Config.homing = Static]. *)
-  mutable homes_in : int;  (** directory entries this domain received *)
-  mutable homes_out : int;  (** directory entries this domain gave away *)
-  mutable dom_bounces : int;  (** hints received after requests hit a stale home *)
-}
-
-and local_txn = { mutable lt_awaiting : int; lt_to_shared : bool }
-
-and rstat = {
-  mutable r_read_misses : int;
-  mutable r_store_misses : int;
-  mutable r_invals : int;
-  mutable r_recalls : int;
-  mutable r_data_bytes : int;  (** payload bytes moved in data replies/writebacks *)
-}
-
-and transfer = { tr_from : int; tr_to : int }
-
-and t = {
-  cfg : Config.t;
-  net : Mchan.Net.t;
-  layout : Layout.t;  (** region layout; all state tables are per block *)
-  mutable domains : domain list;  (** most-recent first; use [domain_by_id] *)
-  domain_tbl : (int, domain) Hashtbl.t;
-  pcbs : (int, pcb) Hashtbl.t;
-  mutable home_domains : int array;
-  home_override : int array;  (** per block: forced home domain, or -1 *)
-  home : int array;
-      (** authoritative per-block home — the sharded directory map.
-          Filled at [init] from the static placement; updated the moment
-          a transfer is initiated (the entry may still be in flight:
-          [transfers] says so).  Domains route by their own hints, not by
-          this array — only arrival-side checks may consult it. *)
-  transfers : (int, transfer) Hashtbl.t;
-      (** blocks whose directory entry currently lives in the transport *)
-  rstats : rstat array;  (** per-region protocol traffic counters *)
-  mutable migrations : int;  (** home transfers completed *)
-  mutable transfer_acks : int;  (** transfer acks received by old homes *)
-  mutable bounces : int;  (** requests bounced off a stale or in-flight home *)
-  mutable initialized : bool;
-  mutable mutation_fires : int;  (** times the seeded bug was exercised *)
-  mutable invariant_checks : int;  (** per-message invariant sweeps run *)
-  mutable legal_transients : int;
-      (** times the checker observed (and exempted) the documented legal
-          transient: a directory owner holding S/I while its exclusive
-          grant is still in flight *)
-}
-
-(* --- state table helpers --- *)
-
-let st_char = function
-  | Ptypes.Invalid -> 'I'
-  | Ptypes.Shared -> 'S'
-  | Ptypes.Exclusive -> 'E'
-  | Ptypes.Pending -> 'P'
-
-let st_of_char = function
-  | 'I' -> Ptypes.Invalid
-  | 'S' -> Ptypes.Shared
-  | 'E' -> Ptypes.Exclusive
-  | 'P' -> Ptypes.Pending
-  | c -> invalid_arg (Printf.sprintf "bad state char %c" c)
-
-let tab_get tab block = st_of_char (Bytes.get tab block)
-let tab_set tab block s = Bytes.set tab block (st_char s)
-
-(* Block-level event tracing for protocol debugging: set
-   SHASTA_DEBUG_BLOCK=<block id> to dump every transition of that block. *)
-let debug_block =
-  match Sys.getenv_opt "SHASTA_DEBUG_BLOCK" with Some s -> int_of_string s | None -> -1
-
-(* Call sites guard with [if dbg_on then dbg ...]: [Format.ifprintf]
-   still interprets the format string and the arguments are evaluated
-   either way, which is far too expensive for per-access paths. *)
-let dbg_on = debug_block >= 0
-
-let dbg b fmt =
-  if b = debug_block then Format.eprintf (fmt ^^ "@.") else Format.ifprintf Format.err_formatter fmt
 
 (* Per-(block, domain) ordering of home-originated messages. *)
 let msg_block_seq = function
@@ -213,6 +64,28 @@ let in_seq_order d msg =
 let consume_seq d msg =
   match msg_block_seq msg with Some (b, _) -> seq_mark d b | None -> ()
 
+let fresh_domain t ~node ~id ~mailbox_owner =
+  let d =
+    {
+      dom_id = id;
+      dom_node = node;
+      img = Memimg.create ~layout:t.layout;
+      shared_tab = Bytes.make (Layout.n_blocks t.layout) 'I';
+      members = [];
+      dom_mailbox = Mchan.Mailbox.create ~owner:mailbox_owner;
+      dir = Directory.create ~home_domain:id;
+      pending_local = Hashtbl.create 16;
+      applied_seq = Hashtbl.create 64;
+      parked_dom = [];
+      home_hint = Hashtbl.create 16;
+      homes_in = 0;
+      homes_out = 0;
+      dom_bounces = 0;
+    }
+  in
+  t.domains <- d :: t.domains;
+  Hashtbl.replace t.domain_tbl id d;
+  d
 
 let create ~cfg ~net =
   let layout = Config.layout cfg in
@@ -251,54 +124,10 @@ let create ~cfg ~net =
   | Config.Smp ->
       (* One domain per node, eagerly. *)
       for node = 0 to (Mchan.Net.config net).Mchan.Net.nodes - 1 do
-        let d =
-          {
-            dom_id = node;
-            dom_node = node;
-            img = Memimg.create ~layout;
-            shared_tab = Bytes.make n_blocks 'I';
-            members = [];
-            dom_mailbox = Mchan.Mailbox.create ~owner:(-1);
-            dir = Directory.create ~home_domain:node;
-            pending_local = Hashtbl.create 16;
-            applied_seq = Hashtbl.create 64;
-            parked_dom = [];
-            home_hint = Hashtbl.create 16;
-            homes_in = 0;
-            homes_out = 0;
-            dom_bounces = 0;
-          }
-        in
-        t.domains <- d :: t.domains;
-        Hashtbl.replace t.domain_tbl node d
+        ignore (fresh_domain t ~node ~id:node ~mailbox_owner:(-1))
       done
   | Config.Base -> ());
   t
-
-let domain_by_id t id = Hashtbl.find t.domain_tbl id
-
-let fresh_domain t ~node ~id =
-  let d =
-    {
-      dom_id = id;
-      dom_node = node;
-      img = Memimg.create ~layout:t.layout;
-      shared_tab = Bytes.make (Layout.n_blocks t.layout) 'I';
-      members = [];
-      dom_mailbox = Mchan.Mailbox.create ~owner:id;
-      dir = Directory.create ~home_domain:id;
-      pending_local = Hashtbl.create 16;
-      applied_seq = Hashtbl.create 64;
-      parked_dom = [];
-      home_hint = Hashtbl.create 16;
-      homes_in = 0;
-      homes_out = 0;
-      dom_bounces = 0;
-    }
-  in
-  t.domains <- d :: t.domains;
-  Hashtbl.replace t.domain_tbl id d;
-  d
 
 (** [attach t proc] registers a simulated process with the protocol and
     returns its control block.  In Base-Shasta this creates a new
@@ -310,7 +139,7 @@ let attach t (proc : Sim.Proc.t) =
   let dom =
     match t.cfg.Config.variant with
     | Config.Smp -> domain_by_id t node
-    | Config.Base -> fresh_domain t ~node ~id:pid
+    | Config.Base -> fresh_domain t ~node ~id:pid ~mailbox_owner:pid
   in
   let pcb =
     {
@@ -353,13 +182,6 @@ let static_home t b =
   else
     let n = Array.length t.home_domains in
     t.home_domains.(b mod n)
-
-(** [home_domain_of_block t b] — the block's current home: where its
-    directory entry lives, or (if a transfer is in flight) where it will
-    land.  Authoritative — an omniscient view only arrival-side checks
-    and the invariant checker may use; request routing goes through each
-    domain's own {!hinted_home}. *)
-let home_domain_of_block t b = t.home.(b)
 
 (* A domain's own view of the home map: its sparse hint table over the
    static placement.  May be stale — a request routed here can bounce. *)
@@ -441,56 +263,12 @@ let count_data t msg =
       r.r_data_bytes <- r.r_data_bytes + Bytes.length data
   | _ -> ()
 
-let msg_block = function
-  | Ptypes.Request { block; _ }
-  | Ptypes.Data_reply { block; _ }
-  | Ptypes.Ack_exclusive { block; _ }
-  | Ptypes.Sc_result { block; _ }
-  | Ptypes.Invalidate { block; _ }
-  | Ptypes.Recall { block; _ }
-  | Ptypes.Writeback { block; _ }
-  | Ptypes.Inval_ack { block; _ }
-  | Ptypes.Downgrade { block; _ }
-  | Ptypes.Downgrade_ack { block; _ }
-  | Ptypes.Home_transfer { block; _ }
-  | Ptypes.Home_transfer_ack { block; _ }
-  | Ptypes.Home_hint { block; _ } ->
-      block
-
-let send_to_domain t ~cur ~from_node dst_domain msg =
-  count_data t msg;
-  let dst = domain_by_id t dst_domain in
-  Mchan.Net.send t.net ~at:!cur ~block:(msg_block msg) ~src_node:from_node
-    ~dst_node:dst.dom_node ~size:(Ptypes.msg_size msg) (fun () ->
-      Mchan.Mailbox.push dst.dom_mailbox msg)
-
-let send_to_pid t ~cur ~from_node dst_pid msg =
-  count_data t msg;
-  let pcb = Hashtbl.find t.pcbs dst_pid in
-  Mchan.Net.send t.net ~at:!cur ~block:(msg_block msg) ~src_node:from_node
-    ~dst_node:pcb.dom.dom_node ~size:(Ptypes.msg_size msg) (fun () ->
-      Mchan.Mailbox.push pcb.mailbox msg)
-
-(* --- state transitions applied at a domain --- *)
-
-let set_block_state_shared d t b s =
-  ignore t;
-  tab_set d.shared_tab b s
-
-let set_block_state_private ?(why = "?") pcb t b s =
-  if dbg_on then dbg b "[%.9f] PRIV pid%d blk=%d <- %c @ %s" (Sim.Engine.now (Mchan.Net.engine t.net)) pcb.pid b
-    (Ptypes.state_to_char s) why;
-  tab_set pcb.private_tab b s
-
-let batch_contains pcb b = List.mem b pcb.batch_blocks
-
 (* Replay every member's stores recorded against an outstanding miss on
    block [b].  Arriving block data (a fetch reply or writeback) reflects
    the home's version and would otherwise clobber locally-performed
    non-blocking stores that are still waiting for their own grant —
    the software analogue of merging dirty words on a cache fill. *)
-let replay_recorded_stores t d b =
-  ignore t;
+let replay_recorded_stores d b =
   List.iter
     (fun m ->
       match Hashtbl.find_opt m.outstanding b with
@@ -500,29 +278,6 @@ let replay_recorded_stores t d b =
             (List.rev miss.m_stores)
       | None -> ())
     d.members
-
-(** Write flag values into every word of a block, unless a member process
-    is mid-batch over the block, in which case the flag writes are
-    deferred until that process next enters the protocol (Section 4.1). *)
-let invalidate_block_data t d b =
-  let deferring =
-    List.filter (fun m -> m.in_batch && batch_contains m b) d.members
-  in
-  if deferring = [] then begin
-    Memimg.write_flags d.img ~flag32:t.cfg.Config.flag32 ~block:b;
-    (* Seeded bug: the flag writes overrun the block's layout extent by
-       one chunk, corrupting whatever the next block holds — exactly the
-       failure the per-block-extent invariants must catch. *)
-    if t.cfg.Config.mutation = Some Config.Wrong_block_extent then begin
-      let spill_addr = Layout.block_base t.layout b + Layout.block_len t.layout b in
-      if Layout.contains t.layout spill_addr then begin
-        t.mutation_fires <- t.mutation_fires + 1;
-        Memimg.write_flags_range d.img ~flag32:t.cfg.Config.flag32 ~addr:spill_addr
-          ~len:(Layout.chunk t.layout)
-      end
-    end
-  end
-  else List.iter (fun m -> m.deferred_flags <- b :: m.deferred_flags) deferring
 
 (* --- sharded-directory home transfers ---
 
@@ -536,12 +291,31 @@ let invalidate_block_data t d b =
    domain mailbox, so a transfer completes even after every process of
    the destination node has stopped polling. *)
 
-(* Per-message invariant sweep for transfer arrivals; wired to the real
-   checker (defined with the rest of the checking machinery, below) once
-   it exists. *)
-let transfer_check : (t -> Ptypes.msg -> unit) ref = ref (fun _ _ -> ())
+(* [send t ~cur ~from_node dst msg] puts [msg] on the wire at [!cur] to
+   domain [dst].  The message says where on that domain it lands: replies
+   and downgrades in the addressed process's mailbox, transfer traffic at
+   the network interface, everything else in the domain mailbox. *)
+let rec send t ~cur ~from_node dst msg =
+  count_data t msg;
+  let dst = domain_by_id t dst in
+  let deliver =
+    match msg with
+    | Ptypes.Data_reply { to_pid; _ }
+    | Ptypes.Ack_exclusive { to_pid; _ }
+    | Ptypes.Sc_result { to_pid; _ }
+    | Ptypes.Downgrade { to_pid; _ } ->
+        let mailbox = (Hashtbl.find t.pcbs to_pid).mailbox in
+        fun () -> Mchan.Mailbox.push mailbox msg
+    | Ptypes.Home_transfer _ | Ptypes.Home_transfer_ack _ | Ptypes.Home_hint _ ->
+        fun () -> apply_transport t ~at:(Sim.Engine.now (Mchan.Net.engine t.net)) msg
+    | Ptypes.Request _ | Ptypes.Invalidate _ | Ptypes.Recall _ | Ptypes.Writeback _
+    | Ptypes.Inval_ack _ | Ptypes.Downgrade_ack _ ->
+        fun () -> Mchan.Mailbox.push dst.dom_mailbox msg
+  in
+  Mchan.Net.send t.net ~at:!cur ~block:(msg_block msg) ~src_node:from_node
+    ~dst_node:dst.dom_node ~size:(Ptypes.msg_size msg) deliver
 
-let rec apply_transport t ~at msg =
+and apply_transport t ~at msg =
   match msg with
   | Ptypes.Home_transfer { block = b; owner; sharers; seqs; data; from_domain } ->
       let tr =
@@ -562,7 +336,7 @@ let rec apply_transport t ~at msg =
           | Ptypes.Shared | Ptypes.Exclusive -> ()
           | Ptypes.Invalid | Ptypes.Pending ->
               Memimg.write_block d.img ~block:b bytes;
-              replay_recorded_stores t d b;
+              replay_recorded_stores d b;
               tab_set d.shared_tab b Ptypes.Shared;
               if not (Directory.is_sharer e d.dom_id) then Directory.add_sharer e d.dom_id)
       | None -> ());
@@ -570,20 +344,16 @@ let rec apply_transport t ~at msg =
       Hashtbl.replace d.home_hint b d.dom_id;
       d.homes_in <- d.homes_in + 1;
       t.migrations <- t.migrations + 1;
-      if dbg_on then dbg b "[%.9f] XFER install blk=%d at dom%d (from dom%d)" at b d.dom_id from_domain;
       let cur = ref (at +. t.cfg.Config.costs.Config.handler) in
-      send_transport t ~cur ~from_node:d.dom_node from_domain
+      send t ~cur ~from_node:d.dom_node from_domain
         (Ptypes.Home_transfer_ack { block = b; from_domain = d.dom_id });
-      !transfer_check t msg
-  | Ptypes.Home_transfer_ack { block = b; from_domain } ->
-      if dbg_on then dbg b "[%.9f] XFER ack blk=%d from dom%d" at b from_domain;
-      t.transfer_acks <- t.transfer_acks + 1
+      if t.cfg.Config.check_invariants then Invariant.check_msg t msg
+  | Ptypes.Home_transfer_ack _ -> t.transfer_acks <- t.transfer_acks + 1
   | Ptypes.Home_hint { block = b; home = h; to_pid } -> (
       let pcb = Hashtbl.find t.pcbs to_pid in
       Hashtbl.replace pcb.dom.home_hint b h;
       pcb.dom.dom_bounces <- pcb.dom.dom_bounces + 1;
       pcb.stats.bounces <- pcb.stats.bounces + 1;
-      if dbg_on then dbg b "[%.9f] BOUNCE pid%d blk=%d -> dom%d" at to_pid b h;
       match Hashtbl.find_opt pcb.outstanding b with
       | Some miss when not miss.m_done ->
           (* Re-issue the bounced request to the hinted home.  The hinted
@@ -592,48 +362,61 @@ let rec apply_transport t ~at msg =
              is a fixed, already-scheduled event and every bounce costs a
              round trip. *)
           let cur = ref (at +. t.cfg.Config.costs.Config.send) in
-          send_to_domain t ~cur ~from_node:pcb.dom.dom_node h
+          send t ~cur ~from_node:pcb.dom.dom_node h
             (Ptypes.Request
                { kind = miss.m_req; block = b; from_domain = pcb.dom.dom_id; from_pid = pcb.pid })
       | _ -> ())
   | _ -> invalid_arg "apply_transport: not transfer traffic"
 
-and send_transport t ~cur ~from_node dst_domain msg =
-  count_data t msg;
-  let dst = domain_by_id t dst_domain in
-  Mchan.Net.send t.net ~at:!cur ~block:(msg_block msg) ~src_node:from_node
-    ~dst_node:dst.dom_node ~size:(Ptypes.msg_size msg) (fun () ->
-      apply_transport t ~at:(Sim.Engine.now (Mchan.Net.engine t.net)) msg)
+(* --- state transitions applied at a domain --- *)
+
+(** Write flag values into every word of a block, unless a member process
+    is mid-batch over the block, in which case the flag writes are
+    deferred until that process next enters the protocol (Section 4.1). *)
+let invalidate_block_data t d b =
+  let deferring =
+    List.filter (fun m -> m.in_batch && List.mem b m.batch_blocks) d.members
+  in
+  if deferring = [] then begin
+    Memimg.write_flags d.img ~flag32:t.cfg.Config.flag32 ~block:b;
+    (* Seeded bug: the flag writes overrun the block's layout extent by
+       one chunk, corrupting whatever the next block holds — exactly the
+       failure the per-block-extent invariants must catch. *)
+    let spill_addr = Layout.block_base t.layout b + Layout.block_len t.layout b in
+    if Layout.contains t.layout spill_addr && Invariant.seeded t Config.Wrong_block_extent then
+      Memimg.write_flags_range d.img ~flag32:t.cfg.Config.flag32 ~addr:spill_addr
+        ~len:(Layout.chunk t.layout)
+  end
+  else List.iter (fun m -> m.deferred_flags <- b :: m.deferred_flags) deferring
 
 (* Invalidate (shared -> invalid) at a domain; acks back to the home.
-   Two of the seeded mutations live here: [Skip_invalidate] acknowledges
+   Two of the seeded bugs live here: [Skip_invalidate] acknowledges
    without touching any state (a stale copy survives), [Skip_inval_ack]
    invalidates but never acknowledges (the home's transaction hangs). *)
 let apply_invalidate t d ~cur ~home_domain b =
-  if dbg_on then dbg b "[%.9f] INVAL at dom%d blk=%d" !cur d.dom_id b;
-  let skip_apply = t.cfg.Config.mutation = Some Config.Skip_invalidate in
-  let skip_ack = t.cfg.Config.mutation = Some Config.Skip_inval_ack in
-  if skip_apply || skip_ack then t.mutation_fires <- t.mutation_fires + 1;
+  let skip_apply = Invariant.seeded t Config.Skip_invalidate in
+  let skip_ack = Invariant.seeded t Config.Skip_inval_ack in
   let r = t.rstats.(Layout.block_region t.layout b) in
   r.r_invals <- r.r_invals + 1;
   if not skip_apply then begin
     invalidate_block_data t d b;
-    set_block_state_shared d t b Ptypes.Invalid;
-    List.iter (fun m -> set_block_state_private ~why:"inval" m t b Ptypes.Invalid) d.members
+    tab_set d.shared_tab b Ptypes.Invalid;
+    List.iter (fun m -> tab_set m.private_tab b Ptypes.Invalid) d.members
   end;
   cur := !cur +. t.cfg.Config.costs.Config.inval_apply;
   if not skip_ack then
-    send_to_domain t ~cur ~from_node:d.dom_node home_domain
+    send t ~cur ~from_node:d.dom_node home_domain
       (Ptypes.Inval_ack { block = b; from_domain = d.dom_id })
 
-(* Complete a recall once all private-table downgrades are done. *)
-let complete_recall t d ~cur b ~to_shared ~home_domain =
-  if dbg_on then dbg b "[%.9f] RECALL-DONE at dom%d blk=%d to_shared=%b" !cur d.dom_id b to_shared;
-  let keep_private = t.cfg.Config.mutation = Some Config.Keep_private_on_recall in
+(* Complete a recall once all private-table downgrades are done: the
+   domain drops to S (or I) and writes the block back to the home.
+   [~members:false] leaves the members' private tables as they are (the
+   [Keep_private_on_recall] seeded bug). *)
+let complete_recall t d ~cur b ~to_shared ~home_domain ~members =
   let data = Memimg.read_block d.img ~block:b in
   if to_shared then begin
-    set_block_state_shared d t b Ptypes.Shared;
-    if not keep_private then
+    tab_set d.shared_tab b Ptypes.Shared;
+    if members then
       List.iter
         (fun m ->
           if tab_get m.private_tab b = Ptypes.Exclusive then tab_set m.private_tab b Ptypes.Shared)
@@ -641,11 +424,10 @@ let complete_recall t d ~cur b ~to_shared ~home_domain =
   end
   else begin
     invalidate_block_data t d b;
-    set_block_state_shared d t b Ptypes.Invalid;
-    if not keep_private then
-      List.iter (fun m -> set_block_state_private ~why:"recall-inval" m t b Ptypes.Invalid) d.members
+    tab_set d.shared_tab b Ptypes.Invalid;
+    if members then List.iter (fun m -> tab_set m.private_tab b Ptypes.Invalid) d.members
   end;
-  send_to_domain t ~cur ~from_node:d.dom_node home_domain
+  send t ~cur ~from_node:d.dom_node home_domain
     (Ptypes.Writeback { block = b; data; from_domain = d.dom_id })
 
 (* Recall (exclusive -> shared/invalid) at the owning domain.  Private
@@ -653,54 +435,50 @@ let complete_recall t d ~cur b ~to_shared ~home_domain =
    directly when the holder is not in application code (Section 4.3.4),
    via an explicit message otherwise (Section 2.3). *)
 let apply_recall t d ~cur ~servicer b ~to_shared ~home_domain =
-  if dbg_on then dbg b "[%.9f] RECALL at dom%d blk=%d to_shared=%b" !cur d.dom_id b to_shared;
   let r = t.rstats.(Layout.block_region t.layout b) in
   r.r_recalls <- r.r_recalls + 1;
   (* Block intra-node exclusive grants while the recall is in flight. *)
-  set_block_state_shared d t b Ptypes.Pending;
-  if t.cfg.Config.mutation = Some Config.Keep_private_on_recall then begin
+  tab_set d.shared_tab b Ptypes.Pending;
+  if Invariant.seeded t Config.Keep_private_on_recall then
     (* Seeded bug: skip every private-state-table downgrade — the
-       members' stale Exclusive/Shared entries survive the recall
-       (complete_recall is gated on the same mutation). *)
-    t.mutation_fires <- t.mutation_fires + 1;
-    complete_recall t d ~cur b ~to_shared ~home_domain
-  end
+       members' stale Exclusive/Shared entries survive the recall. *)
+    complete_recall t d ~cur b ~to_shared ~home_domain ~members:false
   else
-  let needs_downgrade m = m.pid <> servicer && tab_get m.private_tab b = Ptypes.Exclusive in
+  let to_state = if to_shared then Ptypes.Shared else Ptypes.Invalid in
   let pending = ref 0 in
   List.iter
     (fun m ->
-      if m.pid = servicer then
-        set_block_state_private ~why:"recall-self" m t b (if to_shared then Ptypes.Shared else Ptypes.Invalid)
-      else if needs_downgrade m then begin
+      if m.pid = servicer then tab_set m.private_tab b to_state
+      else if tab_get m.private_tab b = Ptypes.Exclusive then begin
         if t.cfg.Config.direct_downgrade && not !(m.in_app) then begin
-          set_block_state_private ~why:"direct-downgrade" m t b (if to_shared then Ptypes.Shared else Ptypes.Invalid);
+          tab_set m.private_tab b to_state;
           m.stats.downgrades_direct <- m.stats.downgrades_direct + 1;
           cur := !cur +. t.cfg.Config.costs.Config.downgrade_apply
         end
         else begin
           m.stats.downgrades_msg <- m.stats.downgrades_msg + 1;
           incr pending;
-          send_to_pid t ~cur ~from_node:d.dom_node m.pid
-            (Ptypes.Downgrade
-               {
-                 block = b;
-                 to_state = (if to_shared then Ptypes.Shared else Ptypes.Invalid);
-                 to_pid = m.pid;
-                 from_domain = d.dom_id;
-               })
+          send t ~cur ~from_node:d.dom_node d.dom_id
+            (Ptypes.Downgrade { block = b; to_state; to_pid = m.pid; from_domain = d.dom_id })
         end
       end)
     d.members;
-  if !pending = 0 then complete_recall t d ~cur b ~to_shared ~home_domain
+  if !pending = 0 then complete_recall t d ~cur b ~to_shared ~home_domain ~members:true
   else
     Hashtbl.replace d.pending_local b { lt_awaiting = !pending; lt_to_shared = to_shared }
 
-(* --- the home side --- *)
+(* --- the home side ---
+
+   Every directory decision is made here, at the block's home, once per
+   request: one [match] on (request kind, directory owner) in
+   [handle_request].  A request that needs another domain's copy opens a
+   transaction — a recall ([Read] or [Read_ex]) that the owner's
+   writeback completes, or an invalidation round that the last ack
+   completes — and conflicting requests queue behind it. *)
 
 let rec handle_request t home ~cur msg =
   match msg with
-  | Ptypes.Request { kind = _; block = b; from_domain = _; from_pid }
+  | Ptypes.Request { kind = _; block = b; from_domain; from_pid }
     when t.home.(b) <> home.dom_id || Hashtbl.mem t.transfers b ->
       (* Stale or in-flight home: bounce with a forwarding hint, before
          any directory lookup — allocating an entry here would duplicate
@@ -718,184 +496,133 @@ let rec handle_request t home ~cur msg =
         | Some tr -> tr.tr_to  (* in flight: point at where it will land *)
         | None -> t.home.(b)
       in
-      if dbg_on then dbg b "[%.9f] HOME bounce blk=%d at dom%d -> dom%d" !cur b home.dom_id hint;
-      let rdom = (Hashtbl.find t.pcbs from_pid).dom in
-      send_transport t ~cur ~from_node:home.dom_node rdom.dom_id
+      send t ~cur ~from_node:home.dom_node from_domain
         (Ptypes.Home_hint { block = b; home = hint; to_pid = from_pid })
   | Ptypes.Request { kind; block = b; from_domain; from_pid } -> (
       let entry = Directory.entry home.dir b in
       match entry.Directory.busy with
-      | Some _ ->
-          if dbg_on then dbg b "[%.9f] HOME defer blk=%d" !cur b;
-          Queue.push msg entry.Directory.deferred
-      | None -> (
+      | Some _ -> Queue.push msg entry.Directory.deferred
+      | None ->
           cur := !cur +. t.cfg.Config.costs.Config.handler;
-          if dbg_on then dbg b "[%.9f] HOME req %s blk=%d from dom%d pid%d owner=%s sharers=[%s]" !cur
-            (Format.asprintf "%a" Ptypes.pp_kind kind) b from_domain from_pid
-            (match entry.Directory.owner with Some o -> string_of_int o | None -> "-")
-            (String.concat "," (List.map string_of_int (Directory.sharers_list entry)));
           observe_request t home entry ~kind ~from_domain;
-          let reply_data ~exclusive =
-            let data = Memimg.read_block home.img ~block:b in
-            send_to_pid t ~cur ~from_node:home.dom_node from_pid
-              (Ptypes.Data_reply
-                 {
-                   block = b;
-                   data;
-                   exclusive;
-                   to_pid = from_pid;
-                   seq = Directory.stamp entry from_domain;
-                 })
-          in
-          (match kind with
-          | Ptypes.Read -> (
-              match entry.Directory.owner with
-              | Some o when o <> from_domain ->
-                  entry.Directory.busy <-
-                    Some
-                      {
-                        Directory.t_kind = Ptypes.Read;
-                        t_requester_domain = from_domain;
-                        t_requester_pid = from_pid;
-                        t_awaiting = 1;
-                        t_data = None;
-                      };
-                  send_to_domain t ~cur ~from_node:home.dom_node o
-                    (Ptypes.Recall
-                       {
-                         block = b;
-                         to_shared = true;
-                         home_domain = home.dom_id;
-                         seq = Directory.stamp entry o;
-                       })
-              | Some _ ->
-                  (* The requester's domain already owns the block (a stale
-                     request); grant exclusivity again. *)
-                  send_to_pid t ~cur ~from_node:home.dom_node from_pid
-                    (Ptypes.Ack_exclusive
-                       { block = b; to_pid = from_pid; seq = Directory.stamp entry from_domain })
-              | None ->
-                  Directory.add_sharer entry from_domain;
-                  reply_data ~exclusive:false)
-          | Ptypes.Read_ex | Ptypes.Upgrade | Ptypes.Sc_upgrade -> (
-              let still_sharer = Directory.is_sharer entry from_domain in
-              if kind = Ptypes.Sc_upgrade && (entry.Directory.owner <> None || not still_sharer)
-              then
-                (* A failed SC must not send invalidations (livelock
-                   avoidance, Section 3.1.1). *)
-                send_to_pid t ~cur ~from_node:home.dom_node from_pid
-                  (Ptypes.Sc_result
-                     {
-                       block = b;
-                       ok = false;
-                       to_pid = from_pid;
-                       seq = Directory.stamp entry from_domain;
-                     })
-              else
-                match entry.Directory.owner with
-                | Some o when o <> from_domain ->
-                    entry.Directory.busy <-
-                      Some
-                        {
-                          Directory.t_kind = Ptypes.Read_ex;
-                          t_requester_domain = from_domain;
-                          t_requester_pid = from_pid;
-                          t_awaiting = 1;
-                          t_data = None;
-                        };
-                    send_to_domain t ~cur ~from_node:home.dom_node o
-                      (Ptypes.Recall
-                         {
-                           block = b;
-                           to_shared = false;
-                           home_domain = home.dom_id;
-                           seq = Directory.stamp entry o;
-                         })
-                | Some _ ->
-                    send_to_pid t ~cur ~from_node:home.dom_node from_pid
-                      (Ptypes.Ack_exclusive
-                         { block = b; to_pid = from_pid; seq = Directory.stamp entry from_domain })
-                | None ->
-                    (* Upgrades from a domain that lost its copy are
-                       promoted to full read-exclusives. *)
-                    let kind =
-                      if kind = Ptypes.Upgrade && not still_sharer then Ptypes.Read_ex else kind
-                    in
-                    (* Snapshot data before invalidating anyone (the home
-                       itself may be a sharer). *)
-                    let data =
-                      if kind = Ptypes.Read_ex then Some (Memimg.read_block home.img ~block:b)
-                      else None
-                    in
-                    let others =
-                      List.filter (fun s -> s <> from_domain) (Directory.sharers_list entry)
-                    in
-                    let others =
-                      (* Seeded bug: the home forgets one sharer, which
-                         keeps a stale Shared copy past the grant. *)
-                      match t.cfg.Config.mutation with
-                      | Some Config.Skip_one_invalidation when others <> [] ->
-                          t.mutation_fires <- t.mutation_fires + 1;
-                          List.tl others
-                      | _ -> others
-                    in
-                    let awaiting = ref 0 in
-                    List.iter
-                      (fun s ->
-                        incr awaiting;
-                        let msg =
-                          Ptypes.Invalidate
-                            { block = b; home_domain = home.dom_id; seq = Directory.stamp entry s }
-                        in
-                        if s = home.dom_id then
-                          (* Self-invalidation goes through the ordered
-                             local mailbox so that a pending reply to a
-                             local process is applied first. *)
-                          Mchan.Mailbox.push home.dom_mailbox msg
-                        else send_to_domain t ~cur ~from_node:home.dom_node s msg)
-                      others;
-                    let txn =
-                      {
-                        Directory.t_kind = kind;
-                        t_requester_domain = from_domain;
-                        t_requester_pid = from_pid;
-                        t_awaiting = !awaiting;
-                        t_data = data;
-                      }
-                    in
-                    if !awaiting = 0 then grant t home ~cur entry txn
-                    else entry.Directory.busy <- Some txn));
+          let reply msg = send t ~cur ~from_node:home.dom_node from_domain msg in
+          (match (kind, entry.Directory.owner) with
+          | Ptypes.Sc_upgrade, owner
+            when Option.is_some owner || not (Directory.is_sharer entry from_domain) ->
+              (* A failed SC must not send invalidations (livelock
+                 avoidance, Section 3.1.1). *)
+              reply
+                (Ptypes.Sc_result
+                   { block = b; ok = false; to_pid = from_pid; seq = Directory.stamp entry from_domain })
+          | _, Some o when o <> from_domain ->
+              (* Another domain owns the block: recall it, to shared for
+                 a read, to invalid otherwise; the writeback completes
+                 the transaction. *)
+              let to_shared = kind = Ptypes.Read in
+              entry.Directory.busy <-
+                Some
+                  {
+                    Directory.t_kind = (if to_shared then Ptypes.Read else Ptypes.Read_ex);
+                    t_requester_domain = from_domain;
+                    t_requester_pid = from_pid;
+                    t_awaiting = 1;
+                    t_data = None;
+                  };
+              send t ~cur ~from_node:home.dom_node o
+                (Ptypes.Recall
+                   { block = b; to_shared; home_domain = home.dom_id; seq = Directory.stamp entry o })
+          | _, Some _ ->
+              (* The requester's domain already owns the block (a stale
+                 request); grant exclusivity again. *)
+              reply
+                (Ptypes.Ack_exclusive
+                   { block = b; to_pid = from_pid; seq = Directory.stamp entry from_domain })
+          | Ptypes.Read, None ->
+              Directory.add_sharer entry from_domain;
+              let data = Memimg.read_block home.img ~block:b in
+              reply
+                (Ptypes.Data_reply
+                   {
+                     block = b;
+                     data;
+                     exclusive = false;
+                     to_pid = from_pid;
+                     seq = Directory.stamp entry from_domain;
+                   })
+          | (Ptypes.Read_ex | Ptypes.Upgrade | Ptypes.Sc_upgrade), None ->
+              (* Upgrades from a domain that lost its copy are promoted
+                 to full read-exclusives. *)
+              let kind =
+                if kind = Ptypes.Upgrade && not (Directory.is_sharer entry from_domain) then
+                  Ptypes.Read_ex
+                else kind
+              in
+              (* Snapshot data before invalidating anyone (the home
+                 itself may be a sharer). *)
+              let data =
+                if kind = Ptypes.Read_ex then Some (Memimg.read_block home.img ~block:b) else None
+              in
+              let others =
+                List.filter (fun s -> s <> from_domain) (Directory.sharers_list entry)
+              in
+              let others =
+                (* Seeded bug: the home forgets one sharer, which keeps a
+                   stale Shared copy past the grant. *)
+                if others <> [] && Invariant.seeded t Config.Skip_one_invalidation then
+                  List.tl others
+                else others
+              in
+              List.iter
+                (fun s ->
+                  let msg =
+                    Ptypes.Invalidate
+                      { block = b; home_domain = home.dom_id; seq = Directory.stamp entry s }
+                  in
+                  if s = home.dom_id then
+                    (* Self-invalidation goes through the ordered local
+                       mailbox so that a pending reply to a local process
+                       is applied first. *)
+                    Mchan.Mailbox.push home.dom_mailbox msg
+                  else send t ~cur ~from_node:home.dom_node s msg)
+                others;
+              let txn =
+                {
+                  Directory.t_kind = kind;
+                  t_requester_domain = from_domain;
+                  t_requester_pid = from_pid;
+                  t_awaiting = List.length others;
+                  t_data = data;
+                }
+              in
+              if others = [] then grant t home ~cur entry txn
+              else entry.Directory.busy <- Some txn);
           (* A request that completed without a transaction may leave the
              entry quiescent with a fresh policy verdict. *)
-          maybe_migrate t home ~cur b))
+          maybe_migrate t home ~cur b)
   | _ -> invalid_arg "handle_request: not a request"
 
-(* Grant the pending exclusive transaction: all invalidations are done. *)
+(* Grant the pending exclusive transaction: all invalidations are done,
+   or the recalled owner's data ([t_data]) has come back. *)
 and grant t home ~cur entry txn =
   let b = entry.Directory.block in
   let pid = txn.Directory.t_requester_pid in
-  if dbg_on then dbg b "[%.9f] HOME grant blk=%d kind=%s to dom%d pid%d" !cur b
-    (Format.asprintf "%a" Ptypes.pp_kind txn.Directory.t_kind)
-    txn.Directory.t_requester_domain pid;
   let rdom = txn.Directory.t_requester_domain in
-  (match txn.Directory.t_kind with
-  | Ptypes.Read_ex ->
-      let data =
-        match txn.Directory.t_data with
-        | Some d -> d
-        | None -> Memimg.read_block home.img ~block:b
-      in
-      send_to_pid t ~cur ~from_node:home.dom_node pid
-        (Ptypes.Data_reply
-           { block = b; data; exclusive = true; to_pid = pid; seq = Directory.stamp entry rdom })
-  | Ptypes.Upgrade ->
-      send_to_pid t ~cur ~from_node:home.dom_node pid
-        (Ptypes.Ack_exclusive { block = b; to_pid = pid; seq = Directory.stamp entry rdom })
-  | Ptypes.Sc_upgrade ->
-      send_to_pid t ~cur ~from_node:home.dom_node pid
-        (Ptypes.Sc_result { block = b; ok = true; to_pid = pid; seq = Directory.stamp entry rdom })
-  | Ptypes.Read -> invalid_arg "grant: read transactions complete via writeback");
-  entry.Directory.owner <- Some txn.Directory.t_requester_domain;
+  send t ~cur ~from_node:home.dom_node rdom
+    (match txn.Directory.t_kind with
+    | Ptypes.Read_ex ->
+        let data =
+          match txn.Directory.t_data with
+          | Some d -> d
+          | None -> Memimg.read_block home.img ~block:b
+        in
+        Ptypes.Data_reply
+          { block = b; data; exclusive = true; to_pid = pid; seq = Directory.stamp entry rdom }
+    | Ptypes.Upgrade ->
+        Ptypes.Ack_exclusive { block = b; to_pid = pid; seq = Directory.stamp entry rdom }
+    | Ptypes.Sc_upgrade ->
+        Ptypes.Sc_result { block = b; ok = true; to_pid = pid; seq = Directory.stamp entry rdom }
+    | Ptypes.Read -> invalid_arg "grant: read transactions complete via writeback");
+  entry.Directory.owner <- Some rdom;
   Directory.clear_sharers entry;
   finish_txn t home ~cur entry
 
@@ -978,24 +705,22 @@ and initiate_transfer t home ~cur b ~dst =
      is a cheaper start than chasing the one-hop-forward note a
      give-away could record here. *)
   home.homes_out <- home.homes_out + 1;
-  if dbg_on then dbg b "[%.9f] XFER blk=%d dom%d -> dom%d owner=%s" !cur b home.dom_id dst
-    (match owner with Some o -> string_of_int o | None -> "-");
   cur := !cur +. t.cfg.Config.costs.Config.send;
-  send_transport t ~cur ~from_node:home.dom_node dst
+  send t ~cur ~from_node:home.dom_node dst
     (Ptypes.Home_transfer { block = b; owner; sharers; seqs; data; from_domain = home.dom_id })
 
+(* The recalled owner's data is back: a [Read] recall leaves the block
+   shared by owner, home and requester; a [Read_ex] recall hands the
+   data to the requester as its exclusive grant. *)
 let handle_writeback t home ~cur b data ~from_domain =
   let entry = Directory.entry home.dir b in
   match entry.Directory.busy with
   | None -> invalid_arg "writeback with no transaction"
   | Some txn -> (
       cur := !cur +. t.cfg.Config.costs.Config.handler;
-      if dbg_on then dbg b "[%.9f] HOME writeback blk=%d txn=%s from dom%d" !cur b
-        (Format.asprintf "%a" Ptypes.pp_kind txn.Directory.t_kind) from_domain;
       match txn.Directory.t_kind with
       | Ptypes.Read ->
-          (* Downgrade-to-shared recall: the home takes a valid copy.
-             When the recalled owner *is* the home domain the data is
+          (* When the recalled owner *is* the home domain the data is
              already in this image — and possibly newer than the
              snapshot (a local store may have landed since), so writing
              the snapshot back would lose it. *)
@@ -1003,16 +728,16 @@ let handle_writeback t home ~cur b data ~from_domain =
             if from_domain = home.dom_id then Memimg.read_block home.img ~block:b
             else begin
               Memimg.write_block home.img ~block:b data;
-              replay_recorded_stores t home b;
+              replay_recorded_stores home b;
               data
             end
           in
-          set_block_state_shared home t b Ptypes.Shared;
+          tab_set home.shared_tab b Ptypes.Shared;
           entry.Directory.owner <- None;
           Directory.clear_sharers entry;
           List.iter (Directory.add_sharer entry)
             [ from_domain; home.dom_id; txn.Directory.t_requester_domain ];
-          send_to_pid t ~cur ~from_node:home.dom_node txn.Directory.t_requester_pid
+          send t ~cur ~from_node:home.dom_node txn.Directory.t_requester_domain
             (Ptypes.Data_reply
                {
                  block = b;
@@ -1022,33 +747,13 @@ let handle_writeback t home ~cur b data ~from_domain =
                  seq = Directory.stamp entry txn.Directory.t_requester_domain;
                });
           finish_txn t home ~cur entry
-      | Ptypes.Read_ex | Ptypes.Upgrade | Ptypes.Sc_upgrade ->
-          (* Recall-invalidate: ownership moves; the home image stays
-             invalid (flags already there or written by apply_recall at
-             the old owner; the home was not a sharer). *)
-          entry.Directory.owner <- Some txn.Directory.t_requester_domain;
-          Directory.clear_sharers entry;
-          (match txn.Directory.t_kind with
-          | Ptypes.Sc_upgrade ->
-              send_to_pid t ~cur ~from_node:home.dom_node txn.Directory.t_requester_pid
-                (Ptypes.Sc_result
-                   {
-                     block = b;
-                     ok = true;
-                     to_pid = txn.Directory.t_requester_pid;
-                     seq = Directory.stamp entry txn.Directory.t_requester_domain;
-                   })
-          | _ ->
-              send_to_pid t ~cur ~from_node:home.dom_node txn.Directory.t_requester_pid
-                (Ptypes.Data_reply
-                   {
-                     block = b;
-                     data;
-                     exclusive = true;
-                     to_pid = txn.Directory.t_requester_pid;
-                     seq = Directory.stamp entry txn.Directory.t_requester_domain;
-                   }));
-          finish_txn t home ~cur entry)
+      | Ptypes.Read_ex ->
+          (* The home image stays invalid: flags are already there, or
+             were written by [apply_recall] at the old owner, and the
+             home was not a sharer. *)
+          grant t home ~cur entry { txn with Directory.t_data = Some data }
+      | Ptypes.Upgrade | Ptypes.Sc_upgrade ->
+          invalid_arg "handle_writeback: recalls open only as Read or Read_ex")
 
 let handle_inval_ack t home ~cur b =
   let entry = Directory.entry home.dir b in
@@ -1060,53 +765,49 @@ let handle_inval_ack t home ~cur b =
 
 (* --- the requester side --- *)
 
+(* The reply has arrived: the miss is over and its waiter may run. *)
+let complete_miss pcb b miss =
+  miss.m_done <- true;
+  Hashtbl.remove pcb.outstanding b;
+  if miss.m_kind = MStore then pcb.n_outstanding_stores <- pcb.n_outstanding_stores - 1
+
+(* Install the home's grant of state [s] in the domain and the process. *)
+let install pcb b s =
+  tab_set pcb.dom.shared_tab b s;
+  tab_set pcb.private_tab b s
+
 let apply_reply t pcb ~cur msg =
   let d = pcb.dom in
   match msg with
-  | Ptypes.Data_reply { block = b; data; exclusive; _ } ->
+  | Ptypes.Data_reply { block = b; data; exclusive; _ } -> (
       cur := !cur +. t.cfg.Config.costs.Config.reply_process;
-      if dbg_on then dbg b "[%.9f] REPLY data blk=%d excl=%b at pid%d dom%d (outstanding=%b)" !cur b exclusive
-        pcb.pid d.dom_id (Hashtbl.mem pcb.outstanding b);
       Memimg.write_block d.img ~block:b data;
-      replay_recorded_stores t d b;
-      (match Hashtbl.find_opt pcb.outstanding b with
+      (* Our own recorded stores are replayed here, with siblings'. *)
+      replay_recorded_stores d b;
+      match Hashtbl.find_opt pcb.outstanding b with
       | None -> () (* e.g. a prefetch raced with an invalidation *)
       | Some miss ->
-          ignore miss.m_stores (* replayed above, together with siblings' *);
-          let s = if exclusive then Ptypes.Exclusive else Ptypes.Shared in
-          set_block_state_shared d t b s;
-          set_block_state_private ~why:"data-reply" pcb t b s;
-          miss.m_done <- true;
-          Hashtbl.remove pcb.outstanding b;
-          if miss.m_kind = MStore then pcb.n_outstanding_stores <- pcb.n_outstanding_stores - 1)
-  | Ptypes.Ack_exclusive { block = b; _ } ->
+          install pcb b (if exclusive then Ptypes.Exclusive else Ptypes.Shared);
+          complete_miss pcb b miss)
+  | Ptypes.Ack_exclusive { block = b; _ } -> (
       cur := !cur +. t.cfg.Config.costs.Config.reply_process;
-      if dbg_on then dbg b "[%.9f] REPLY ack_excl blk=%d at pid%d dom%d" !cur b pcb.pid d.dom_id;
-      (match Hashtbl.find_opt pcb.outstanding b with
+      match Hashtbl.find_opt pcb.outstanding b with
       | None -> ()
       | Some miss ->
           (* A sibling's fetch may have overwritten our early-visible
              stores; put them back now that we own the block. *)
-          replay_recorded_stores t d b;
-          set_block_state_shared d t b Ptypes.Exclusive;
-          set_block_state_private ~why:"ack-excl" pcb t b Ptypes.Exclusive;
-          miss.m_done <- true;
-          Hashtbl.remove pcb.outstanding b;
-          if miss.m_kind = MStore then pcb.n_outstanding_stores <- pcb.n_outstanding_stores - 1)
-  | Ptypes.Sc_result { block = b; ok; _ } ->
+          replay_recorded_stores d b;
+          install pcb b Ptypes.Exclusive;
+          complete_miss pcb b miss)
+  | Ptypes.Sc_result { block = b; ok; _ } -> (
       cur := !cur +. t.cfg.Config.costs.Config.reply_process;
-      (match Hashtbl.find_opt pcb.outstanding b with
+      match Hashtbl.find_opt pcb.outstanding b with
       | None -> ()
       | Some miss ->
           let really_ok = ref ok in
-          if dbg_on then dbg b "[%.9f] SC_RESULT pid%d ok=%b armed=%b" !cur pcb.pid ok
-            (match miss.m_sc_store with
-             | Some (a, _, _) -> Memimg.monitor_armed d.img ~pid:pcb.pid a
-             | None -> false);
           if ok then begin
             (* The home granted exclusivity either way. *)
-            set_block_state_shared d t b Ptypes.Exclusive;
-            set_block_state_private ~why:"sc-ok" pcb t b Ptypes.Exclusive;
+            install pcb b Ptypes.Exclusive;
             match miss.m_sc_store with
             | Some (addr, w, v) ->
                 (* The grant proves no *remote* write intervened, but a
@@ -1120,12 +821,11 @@ let apply_reply t pcb ~cur msg =
             | None -> ()
           end;
           miss.m_sc_ok <- !really_ok;
-          miss.m_done <- true;
-          Hashtbl.remove pcb.outstanding b)
+          complete_miss pcb b miss)
   | Ptypes.Downgrade { block = b; to_state; from_domain; _ } ->
       cur := !cur +. t.cfg.Config.costs.Config.downgrade_apply;
-      set_block_state_private ~why:"downgrade-msg" pcb t b to_state;
-      send_to_domain t ~cur ~from_node:d.dom_node from_domain
+      tab_set pcb.private_tab b to_state;
+      send t ~cur ~from_node:d.dom_node from_domain
         (Ptypes.Downgrade_ack { block = b; from_pid = pcb.pid })
   | _ -> invalid_arg "apply_reply: unexpected message"
 
@@ -1150,291 +850,12 @@ let handle_domain_msg t d ~cur ~servicer msg =
           if lt.lt_awaiting = 0 then begin
             Hashtbl.remove d.pending_local b;
             let home_domain = home_domain_of_block t b in
-            complete_recall t d ~cur b ~to_shared:lt.lt_to_shared ~home_domain
+            complete_recall t d ~cur b ~to_shared:lt.lt_to_shared ~home_domain ~members:true
           end)
   | Ptypes.Data_reply _ | Ptypes.Ack_exclusive _ | Ptypes.Sc_result _ | Ptypes.Downgrade _ ->
       invalid_arg "handle_domain_msg: process-addressed message in domain mailbox"
   | Ptypes.Home_transfer _ | Ptypes.Home_transfer_ack _ | Ptypes.Home_hint _ ->
       invalid_arg "handle_domain_msg: transfer traffic is applied at the network interface"
-
-(* --- coherence invariant checker (the probe of lib/check) ---
-
-   Four invariant families, cross-checking the directory against every
-   domain's shared state table and every process's private state table:
-
-   1. single writer — at most one domain holds a block Exclusive, and
-      while one does every other domain is Invalid or Pending;
-   2. directory agreement — only while the entry is not busy (a
-      transaction in flight legally leaves transient disagreement): an
-      owner implies an empty sharer set and an Exclusive/Pending holder,
-      no owner means every Shared holder is in the sharer set, and a
-      block with no entry is still in its pristine home-only state;
-   3. table monotonicity — a private-table state never exceeds its
-      domain's shared-table state (private E needs domain E/P, private S
-      needs domain S/E/P);
-   4. block-extent agreement — when a block is quiet (entry not busy, no
-      outstanding miss, deferral or reissue anywhere), every domain
-      holding it Shared carries byte-identical data over the block's
-      layout extent.  A flag write that overruns its block (the
-      [Wrong_block_extent] mutation) corrupts a neighbouring Shared
-      replica and trips exactly this family; directory entries must also
-      name layout-valid block ids.
-
-   [check_block] is cheap (O(domains x members)) and is run after every
-   protocol message, scoped to that message's block and its immediate
-   neighbours (flag extents can only overrun into an adjacent block),
-   when [Config.check_invariants] is set; [check_quiescent] sweeps the
-   whole engine and is meant for the end of a run. *)
-
-exception
-  Coherence_violation of { block : int; time : float; violations : string list }
-
-let () =
-  Printexc.register_printer (function
-    | Coherence_violation { block; time; violations } ->
-        Some
-          (Printf.sprintf "Protocol.Engine.Coherence_violation (block %d at %.9g: %s)"
-             block time
-             (String.concat "; " violations))
-    | _ -> None)
-
-(* A block is quiet when no transaction, miss, deferred flag write or
-   post-batch reissue anywhere in the engine can still touch it: only
-   then may family 4 compare Shared replicas byte-for-byte.  A block
-   whose directory entry is mid-transfer is never quiet — the entry
-   lives in the transport; the home lookup chases the current home. *)
-let block_quiet t b =
-  (not (Hashtbl.mem t.transfers b))
-  && (let home = domain_by_id t (home_domain_of_block t b) in
-     match Directory.find home.dir b with
-     | Some e -> e.Directory.busy = None && Queue.is_empty e.Directory.deferred
-     | None -> true)
-  && List.for_all
-       (fun d ->
-         (not (Hashtbl.mem d.pending_local b))
-         && List.for_all
-              (fun m ->
-                (not (Hashtbl.mem m.outstanding b))
-                && (not (List.mem b m.deferred_flags))
-                && (not (List.mem b m.watch_blocks))
-                && not
-                     (List.exists
-                        (fun (a, _, _) -> Layout.block_of_addr t.layout a = b)
-                        m.reissue))
-              d.members)
-       t.domains
-
-let check_block t b =
-  let errs = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-  let dom_state d = tab_get d.shared_tab b in
-  let domains = t.domains in
-  (* family 3: private vs shared monotonicity *)
-  List.iter
-    (fun d ->
-      let ds = dom_state d in
-      List.iter
-        (fun m ->
-          match (tab_get m.private_tab b, ds) with
-          | Ptypes.Exclusive, (Ptypes.Invalid | Ptypes.Shared) ->
-              err "pid%d private E but dom%d is %c" m.pid d.dom_id (st_char ds)
-          | Ptypes.Shared, Ptypes.Invalid ->
-              err "pid%d private S but dom%d is I" m.pid d.dom_id
-          | _ -> ())
-        d.members)
-    domains;
-  (* family 4: quiet Shared replicas agree over the block's layout extent *)
-  (if block_quiet t b then
-     let holders = List.filter (fun d -> dom_state d = Ptypes.Shared) domains in
-     match holders with
-     | [] | [ _ ] -> ()
-     | d0 :: rest ->
-         let ref_data = Memimg.read_block d0.img ~block:b in
-         List.iter
-           (fun d ->
-             if not (Bytes.equal (Memimg.read_block d.img ~block:b) ref_data) then
-               err "dom%d and dom%d disagree on Shared block %d (extent 0x%x+%d)" d0.dom_id
-                 d.dom_id b
-                 (Layout.block_base t.layout b)
-                 (Layout.block_len t.layout b))
-           rest);
-  (* family 1: single writer *)
-  let excl = List.filter (fun d -> dom_state d = Ptypes.Exclusive) domains in
-  (match excl with
-  | [] | [ _ ] -> ()
-  | ds ->
-      err "multiple Exclusive holders: [%s]"
-        (String.concat "," (List.map (fun d -> string_of_int d.dom_id) ds)));
-  (match excl with
-  | [ e ] ->
-      List.iter
-        (fun d ->
-          if d != e && dom_state d = Ptypes.Shared then
-            err "dom%d Shared while dom%d Exclusive" d.dom_id e.dom_id)
-        domains
-  | _ -> ());
-  (* family 2: directory agreement, only at a quiet entry whose home is
-     not in flight — mid-transfer the entry lives in the transport and
-     there is nothing at any home to cross-check against.  The lookup
-     chases the block's current home, wherever migration put it. *)
-  (if Hashtbl.mem t.transfers b then ()
-   else
-  let home = domain_by_id t (home_domain_of_block t b) in
-  match Directory.find home.dir b with
-  | None ->
-      (* Untouched block: only the home may hold it (its initial copy).
-         Pending is a legal transient — a requester marks the block
-         Pending before the home has allocated the entry. *)
-      List.iter
-        (fun d ->
-          match dom_state d with
-          | Ptypes.Invalid | Ptypes.Pending -> ()
-          | s when d.dom_id = home.dom_id ->
-              if s <> Ptypes.Shared then
-                err "no directory entry but home dom%d is %c" d.dom_id (st_char s)
-          | s -> err "no directory entry but dom%d is %c" d.dom_id (st_char s))
-        domains
-  | Some entry -> (
-      match entry.Directory.busy with
-      | Some _ -> () (* transaction in flight: transients are legal *)
-      | None -> (
-          match entry.Directory.owner with
-          | Some o ->
-              if not (Directory.no_sharers entry) then
-                err "owner dom%d with non-empty sharer set [%s]" o
-                  (String.concat ","
-                     (List.map string_of_int (Directory.sharers_list entry)));
-              (match dom_state (domain_by_id t o) with
-              | Ptypes.Exclusive | Ptypes.Pending -> ()
-              | (Ptypes.Shared | Ptypes.Invalid)
-                when List.exists
-                       (fun m -> Hashtbl.mem m.outstanding b)
-                       (domain_by_id t o).members ->
-                  (* Legal transient: the grant is in flight (the owner's
-                     miss on this block is still outstanding) while the
-                     Pending the owner set at issue has been overwritten —
-                     to S by a concurrent sharing writeback at the home, or
-                     to I by an invalidation that beat the grant.  Applying
-                     the granted reply moves the domain to E. *)
-                  t.legal_transients <- t.legal_transients + 1
-              | s -> err "directory owner dom%d holds %c" o (st_char s));
-              List.iter
-                (fun d ->
-                  if d.dom_id <> o then
-                    match dom_state d with
-                    | Ptypes.Shared | Ptypes.Exclusive ->
-                        err "dom%d holds %c but dom%d owns the block" d.dom_id
-                          (st_char (dom_state d))
-                          o
-                    | _ -> ())
-                domains
-          | None ->
-              List.iter
-                (fun d ->
-                  match dom_state d with
-                  | Ptypes.Exclusive ->
-                      err "dom%d Exclusive but the directory has no owner" d.dom_id
-                  | Ptypes.Shared ->
-                      if not (Directory.is_sharer entry d.dom_id) then
-                        err "dom%d Shared but not in the sharer set [%s]" d.dom_id
-                          (String.concat ","
-                             (List.map string_of_int (Directory.sharers_list entry)))
-                  | _ -> ())
-                domains)));
-  List.rev !errs
-
-
-(* Run after a message is applied, scoped to that message's block and
-   its immediate neighbours: a flag write overrunning the block's layout
-   extent can only land in an adjacent block. *)
-let check_msg t msg =
-  t.invariant_checks <- t.invariant_checks + 1;
-  let b = msg_block msg in
-  let check b' =
-    if Layout.valid_block t.layout b' then
-      match check_block t b' with
-      | [] -> ()
-      | violations ->
-          raise
-            (Coherence_violation
-               { block = b'; time = Sim.Engine.now (Mchan.Net.engine t.net); violations })
-  in
-  check b;
-  check (b - 1);
-  check (b + 1)
-
-(** [check_quiescent t] — full-state sweep for an engine that should be
-    at rest: no transaction, message, miss or Pending line may remain,
-    and every block must satisfy [check_block].  Returns the violations
-    (empty = coherent). *)
-let check_quiescent t =
-  let errs = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-  Hashtbl.iter
-    (fun b tr ->
-      err "block %d: home transfer dom%d -> dom%d still in flight" b tr.tr_from tr.tr_to)
-    t.transfers;
-  if t.transfer_acks <> t.migrations then
-    err "%d home transfers installed but %d acknowledged" t.migrations t.transfer_acks;
-  List.iter
-    (fun d ->
-      if not (Mchan.Mailbox.is_empty d.dom_mailbox) then
-        err "dom%d: %d unserviced domain messages" d.dom_id
-          (Mchan.Mailbox.length d.dom_mailbox);
-      if d.parked_dom <> [] then
-        err "dom%d: %d parked domain messages" d.dom_id (List.length d.parked_dom);
-      if Hashtbl.length d.pending_local > 0 then
-        err "dom%d: %d incomplete local recalls" d.dom_id (Hashtbl.length d.pending_local);
-      Directory.iter_entries
-        (fun e ->
-          if not (Layout.valid_block t.layout e.Directory.block) then
-            err "dom%d: directory entry for layout-invalid block %d" d.dom_id e.Directory.block
-          else if home_domain_of_block t e.Directory.block <> d.dom_id then
-            err "dom%d: directory entry for block %d, whose home is dom%d" d.dom_id
-              e.Directory.block
-              (home_domain_of_block t e.Directory.block);
-          (match e.Directory.busy with
-          | Some txn ->
-              err "dom%d: block %d busy (%s, awaiting %d)" d.dom_id e.Directory.block
-                (Format.asprintf "%a" Ptypes.pp_kind txn.Directory.t_kind)
-                txn.Directory.t_awaiting
-          | None -> ());
-          if not (Queue.is_empty e.Directory.deferred) then
-            err "dom%d: block %d has %d deferred requests" d.dom_id e.Directory.block
-              (Queue.length e.Directory.deferred))
-        d.dir;
-      List.iter
-        (fun m ->
-          if not (Mchan.Mailbox.is_empty m.mailbox) then
-            err "pid%d: %d unserviced replies" m.pid (Mchan.Mailbox.length m.mailbox);
-          if m.parked <> [] then
-            err "pid%d: %d parked replies" m.pid (List.length m.parked);
-          Hashtbl.iter
-            (fun b _ -> err "pid%d: outstanding miss on block %d" m.pid b)
-            m.outstanding;
-          if m.n_outstanding_stores <> 0 then
-            err "pid%d: %d outstanding stores" m.pid m.n_outstanding_stores)
-        d.members)
-    t.domains;
-  for b = 0 to Layout.n_blocks t.layout - 1 do
-    List.iter
-      (fun d ->
-        if tab_get d.shared_tab b = Ptypes.Pending then
-          err "dom%d: block %d stuck Pending" d.dom_id b;
-        List.iter
-          (fun m ->
-            if tab_get m.private_tab b = Ptypes.Pending then
-              err "pid%d: block %d stuck Pending (private)" m.pid b)
-          d.members)
-      t.domains;
-    match check_block t b with [] -> () | es -> errs := List.rev_append es !errs
-  done;
-  List.rev !errs
-
-(* Transfer application happens at the network interface, lexically
-   before the checker exists; hand it the per-message sweep now. *)
-let () =
-  transfer_check := fun t msg -> if t.cfg.Config.check_invariants then check_msg t msg
 
 (** [service pcb] is the poll hook: drains this process's own mailbox
     (replies may only be handled by the requester — the limitation noted
@@ -1450,13 +871,13 @@ let service_slow pcb =
     pcb.stats.messages_handled <- pcb.stats.messages_handled + 1;
     consume_seq d msg;
     apply_reply t pcb ~cur msg;
-    if t.cfg.Config.check_invariants then check_msg t msg
+    if t.cfg.Config.check_invariants then Invariant.check_msg t msg
   in
   let apply_dom msg =
     pcb.stats.messages_handled <- pcb.stats.messages_handled + 1;
     consume_seq d msg;
     handle_domain_msg t d ~cur ~servicer:pcb.pid msg;
-    if t.cfg.Config.check_invariants then check_msg t msg
+    if t.cfg.Config.check_invariants then Invariant.check_msg t msg
   in
   let progress = ref true in
   while !progress do
@@ -1526,14 +947,9 @@ let service pcb =
   then 0.0
   else service_slow pcb
 
-(** In SMP-Shasta, processes on the same node can also serve each other's
-    {e domain} traffic; this hook additionally drains the mailboxes of
-    sibling processes' pending work when they are descheduled is not
-    modelled — requests are domain-addressed so no forwarding is needed. *)
-
 (* --- fiber-side entry points --- *)
 
-let charge _pcb dt = if dt > 0.0 then Sim.Proc.work dt
+let charge dt = if dt > 0.0 then Sim.Proc.work dt
 
 let stall_until pcb ~bucket pred =
   let eng = Mchan.Net.engine pcb.eng.net in
@@ -1546,18 +962,6 @@ let stall_until pcb ~bucket pred =
   | `Mb -> pcb.stats.mb_stall <- pcb.stats.mb_stall +. dt
   | `None -> ());
   dt
-
-(** [block_state pcb addr] — the (private, domain-shared) state pair of
-    the coherence block covering [addr]. *)
-let block_state pcb addr =
-  let b = Layout.block_of_addr pcb.eng.layout addr in
-  (tab_get pcb.private_tab b, tab_get pcb.dom.shared_tab b)
-
-(** [private_state pcb addr] — just the private-table state of the block
-    covering [addr]; the allocation-free form of [fst (block_state ...)]
-    for the inline-check fast paths. *)
-let private_state pcb addr =
-  tab_get pcb.private_tab (Layout.block_of_addr pcb.eng.layout addr)
 
 (* Issue a request to the home; non-blocking (caller stalls if desired). *)
 let issue pcb b kind mkind ?(sc_store = None) () =
@@ -1584,23 +988,15 @@ let issue pcb b kind mkind ?(sc_store = None) () =
    | MRead -> r.r_read_misses <- r.r_read_misses + 1
    | MStore | MSc | MPrefetch -> r.r_store_misses <- r.r_store_misses + 1);
   if mkind = MStore then pcb.n_outstanding_stores <- pcb.n_outstanding_stores + 1;
-  (match kind with
-  | Ptypes.Read | Ptypes.Read_ex ->
-      set_block_state_shared pcb.dom t b Ptypes.Pending;
-      set_block_state_private ~why:"issue" pcb t b Ptypes.Pending
-  | Ptypes.Upgrade | Ptypes.Sc_upgrade ->
-      (* Keep the data readable while upgrading: only mark pending in the
-         tables, the image still holds valid data. *)
-      set_block_state_shared pcb.dom t b Ptypes.Pending;
-      set_block_state_private ~why:"issue" pcb t b Ptypes.Pending);
+  (* Only the tables go Pending: an upgrading domain's image still holds
+     valid, readable data. *)
+  install pcb b Ptypes.Pending;
   let cur = ref (Sim.Engine.now (Mchan.Net.engine t.net)) in
-  if dbg_on then dbg b "[%.9f] ISSUE %s blk=%d by pid%d dom%d" !cur
-    (Format.asprintf "%a" Ptypes.pp_kind kind) b pcb.pid pcb.dom.dom_id;
   (* Route by this domain's own (possibly stale) view of the home map;
      a wrong guess comes back as a bounce with a fresh hint. *)
-  send_to_domain t ~cur ~from_node:pcb.dom.dom_node (hinted_home t pcb.dom b)
+  send t ~cur ~from_node:pcb.dom.dom_node (hinted_home t pcb.dom b)
     (Ptypes.Request { kind; block = b; from_domain = pcb.dom.dom_id; from_pid = pcb.pid });
-  charge pcb t.cfg.Config.costs.Config.send;
+  charge t.cfg.Config.costs.Config.send;
   miss
 
 (* Reissue stores that executed after a batch while their line had been
@@ -1637,7 +1033,7 @@ and reissue_store pcb addr w v =
   let _, shared = block_state pcb addr in
   match shared with
   | Ptypes.Exclusive ->
-      set_block_state_private ~why:"reissue-E" pcb t b Ptypes.Exclusive;
+      tab_set pcb.private_tab b Ptypes.Exclusive;
       Memimg.write ~pid:pcb.pid pcb.dom.img addr w v
   | Ptypes.Shared | Ptypes.Invalid | Ptypes.Pending -> (
       match Hashtbl.find_opt pcb.outstanding b with
@@ -1656,7 +1052,7 @@ and reissue_store pcb addr w v =
 let ensure_read pcb addr =
   let t = pcb.eng in
   let b = block_of_addr t addr in
-  charge pcb t.cfg.Config.costs.Config.intra_node_hit;
+  charge t.cfg.Config.costs.Config.intra_node_hit;
   let rec go () =
     match Hashtbl.find_opt pcb.outstanding b with
     | Some miss ->
@@ -1669,7 +1065,7 @@ let ensure_read pcb addr =
             (* Intra-node resolution: another process of the domain holds
                the data; just refresh the private table. *)
             pcb.stats.intra_hits <- pcb.stats.intra_hits + 1;
-            set_block_state_private ~why:"intra-read" pcb t b
+            tab_set pcb.private_tab b
               (if shared = Ptypes.Exclusive then Ptypes.Exclusive else Ptypes.Shared)
         | Ptypes.Invalid | Ptypes.Pending ->
             pcb.stats.read_misses <- pcb.stats.read_misses + 1;
@@ -1687,7 +1083,7 @@ let ensure_read pcb addr =
     back-to-back, in order). *)
 let rec load_miss pcb addr w =
   let t = pcb.eng in
-  charge pcb t.cfg.Config.costs.Config.miss_entry;
+  charge t.cfg.Config.costs.Config.miss_entry;
   apply_deferred pcb;
   let _, shared = block_state pcb addr in
   match shared with
@@ -1709,7 +1105,7 @@ let rec load_miss pcb addr w =
 let ensure_write pcb addr ~blocking =
   let t = pcb.eng in
   let b = block_of_addr t addr in
-  charge pcb t.cfg.Config.costs.Config.intra_node_hit;
+  charge t.cfg.Config.costs.Config.intra_node_hit;
   let rec go () =
     match Hashtbl.find_opt pcb.outstanding b with
     | Some miss ->
@@ -1724,7 +1120,7 @@ let ensure_write pcb addr ~blocking =
         match shared with
         | Ptypes.Exclusive ->
             pcb.stats.intra_hits <- pcb.stats.intra_hits + 1;
-            set_block_state_private ~why:"intra-write" pcb t b Ptypes.Exclusive
+            tab_set pcb.private_tab b Ptypes.Exclusive
         | Ptypes.Shared | Ptypes.Invalid | Ptypes.Pending ->
             (* A shared copy upgrades.  Under [Pending] a recall of our
                exclusive copy, or a sibling's miss, is in flight: like an
@@ -1744,7 +1140,7 @@ let ensure_write pcb addr ~blocking =
     [Rc] it is non-blocking, bounded by [max_outstanding_stores]. *)
 let store_miss pcb addr =
   let t = pcb.eng in
-  charge pcb t.cfg.Config.costs.Config.miss_entry;
+  charge t.cfg.Config.costs.Config.miss_entry;
   apply_deferred pcb;
   let blocking = t.cfg.Config.model = Config.Sc in
   if (not blocking) && pcb.n_outstanding_stores >= t.cfg.Config.max_outstanding_stores then
@@ -1753,11 +1149,9 @@ let store_miss pcb addr =
            pcb.n_outstanding_stores < t.cfg.Config.max_outstanding_stores));
   ensure_write pcb addr ~blocking
 
-(** Raw memory access used by the runtime for the actual load/store
-    instructions.  Stores are intercepted: while a miss is outstanding on
-    the block, the store is recorded for replay over the arriving data;
-    after a batch, stores to since-downgraded lines are recorded for
-    reissue (Section 4.1). *)
+(** Raw memory access used by the runtime for the actual load
+    instruction; the store, [raw_write], is with the state tables in
+    {!Engine_state}. *)
 let raw_read pcb addr w = Memimg.read pcb.dom.img addr w
 
 (** Region copies for OS syscall buffers (post-validation DMA). *)
@@ -1770,34 +1164,11 @@ let raw_ll pcb addr w = Memimg.ll pcb.dom.img ~pid:pcb.pid addr w
 
 let raw_sc pcb addr w v = Memimg.sc pcb.dom.img ~pid:pcb.pid addr w v
 
-let raw_write pcb addr w v =
-  (* The dominant case — no miss outstanding, nothing watched or traced —
-     must not look up the block, hash or allocate. *)
-  (if dbg_on || Hashtbl.length pcb.outstanding > 0 || pcb.watch_blocks <> [] then
-     let t = pcb.eng in
-     let b = block_of_addr t addr in
-     if dbg_on then dbg b "[%.9f] WRITE 0x%x=%Ld pid%d dom%d (outstanding=%b st=%c/%c)"
-       (Sim.Engine.now (Mchan.Net.engine t.net)) addr v pcb.pid pcb.dom.dom_id
-       (Hashtbl.mem pcb.outstanding b)
-       (Ptypes.state_to_char (tab_get pcb.private_tab b))
-       (Ptypes.state_to_char (tab_get pcb.dom.shared_tab b));
-     match Hashtbl.find_opt pcb.outstanding b with
-     | Some miss -> miss.m_stores <- (addr, w, v) :: miss.m_stores
-     | None ->
-         if List.mem b pcb.watch_blocks then begin
-           let _, shared = block_state pcb addr in
-           match shared with
-           | Ptypes.Exclusive -> ()
-           | Ptypes.Shared | Ptypes.Invalid | Ptypes.Pending ->
-               pcb.reissue <- (addr, w, v) :: pcb.reissue
-         end);
-  Memimg.write ~pid:pcb.pid pcb.dom.img addr w v
-
 (** [mb pcb] — the protocol part of a memory barrier: complete all
     outstanding (non-blocking) stores and service pending invalidations. *)
 let mb pcb =
   let t = pcb.eng in
-  charge pcb (Config.mb_cost t.cfg);
+  charge (Config.mb_cost t.cfg);
   apply_deferred pcb;
   if pcb.n_outstanding_stores > 0 then
     ignore (stall_until pcb ~bucket:`Mb (fun () -> pcb.n_outstanding_stores = 0))
@@ -1815,7 +1186,7 @@ let poll pcb = apply_deferred pcb
     handled by deferred flag writes and store reissues. *)
 let batch pcb accesses =
   let t = pcb.eng in
-  charge pcb t.cfg.Config.costs.Config.miss_entry;
+  charge t.cfg.Config.costs.Config.miss_entry;
   apply_deferred pcb;
   let blocks_of (addr, w, _) =
     (* An access can straddle a block boundary only if misaligned, which
@@ -1835,9 +1206,9 @@ let batch pcb accesses =
           let _, shared = block_state pcb addr in
           match (kind, shared) with
           | _, Ptypes.Exclusive ->
-              set_block_state_private pcb t b Ptypes.Exclusive
+              tab_set pcb.private_tab b Ptypes.Exclusive
           | Alpha.Insn.Load_acc, Ptypes.Shared ->
-              set_block_state_private pcb t b Ptypes.Shared
+              tab_set pcb.private_tab b Ptypes.Shared
           | Alpha.Insn.Load_acc, (Ptypes.Invalid | Ptypes.Pending) ->
               pcb.stats.read_misses <- pcb.stats.read_misses + 1;
               misses := issue pcb b Ptypes.Read MRead () :: !misses
@@ -1879,12 +1250,12 @@ let rec ll_ensure pcb addr =
   let private_s, shared = block_state pcb addr in
   (match shared with
   | Ptypes.Invalid | Ptypes.Pending ->
-      charge pcb t.cfg.Config.costs.Config.miss_entry;
+      charge t.cfg.Config.costs.Config.miss_entry;
       ensure_read pcb addr
   | Ptypes.Shared | Ptypes.Exclusive -> (
       match private_s with
       | Ptypes.Invalid | Ptypes.Pending ->
-          set_block_state_private ~why:"ll-fix" pcb t (block_of_addr t addr)
+          tab_set pcb.private_tab (block_of_addr t addr)
             (if shared = Ptypes.Exclusive then Ptypes.Exclusive else Ptypes.Shared)
       | Ptypes.Shared | Ptypes.Exclusive -> ()));
   let private_s, _ = block_state pcb addr in
@@ -1902,20 +1273,17 @@ let rec sc_check pcb addr w v =
       sc_check pcb addr w v
   | None ->
   let private_s, shared = block_state pcb addr in
-  if dbg_on then dbg b "[%.9f] SC_CHECK pid%d private=%c shared=%c last_ll=%b"
-    (Sim.Engine.now (Mchan.Net.engine t.net)) pcb.pid (Ptypes.state_to_char private_s)
-    (Ptypes.state_to_char shared) (pcb.last_ll = Some b);
   match (private_s, shared) with
   | Ptypes.Exclusive, _ when pcb.last_ll = Some b ->
       (* Fast path: run the SC in hardware; the memory-image monitor
          decides success. *)
       Alpha.Runtime.Run_in_hardware
   | _, Ptypes.Exclusive ->
-      set_block_state_private ~why:"sc-intra" pcb t b Ptypes.Exclusive;
+      tab_set pcb.private_tab b Ptypes.Exclusive;
       Alpha.Runtime.Run_in_hardware
   | _, Ptypes.Shared ->
       pcb.stats.sc_misses <- pcb.stats.sc_misses + 1;
-      charge pcb t.cfg.Config.costs.Config.miss_entry;
+      charge t.cfg.Config.costs.Config.miss_entry;
       let miss = issue pcb b Ptypes.Sc_upgrade MSc ~sc_store:(Some (addr, w, v)) () in
       ignore (stall_until pcb ~bucket:`Write (fun () -> miss.m_done));
       Alpha.Runtime.Handled miss.m_sc_ok
@@ -1941,14 +1309,6 @@ let prefetch_excl pcb addr =
 let stats pcb = pcb.stats
 let config t = t.cfg
 let net t = t.net
-
-(** Times the seeded [Config.mutation] bug was exercised. *)
-let mutation_fires t = t.mutation_fires
-
-(** Per-message invariant sweeps run so far (0 unless [check_invariants]). *)
-let invariant_checks t = t.invariant_checks
-
-let legal_transients t = t.legal_transients
 
 (** [(migrations, bounces, in_flight)] — completed home transfers,
     requests bounced off a stale or in-flight home, and transfers whose

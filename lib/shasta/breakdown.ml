@@ -52,21 +52,12 @@ let pp ppf b =
     "task=%.1f%% read=%.1f%% write=%.1f%% mb=%.1f%% sync=%.1f%% blocked=%.1f%% msg=%.1f%%" b.task
     b.read b.write b.mb b.sync b.blocked b.msg
 
-let pp_seconds ppf b =
-  Format.fprintf ppf
-    "task=%a read=%a write=%a mb=%a sync=%a blocked=%a msg=%a (total %a)" Sim.Units.pp_time
-    b.task Sim.Units.pp_time b.read Sim.Units.pp_time b.write Sim.Units.pp_time b.mb
-    Sim.Units.pp_time b.sync Sim.Units.pp_time b.blocked Sim.Units.pp_time b.msg
-    Sim.Units.pp_time (total b)
-
 (* --- home-migration counters (sharded directory) --- *)
 
 (** Per-node directory-migration activity: entries this node's domains
     received, entries they gave away, and requests its processes had
     bounced off a stale home.  All zero under static homing. *)
 type migration = { mig_in : int; mig_out : int; mig_bounces : int }
-
-let no_migration = { mig_in = 0; mig_out = 0; mig_bounces = 0 }
 
 let migration_active ms =
   Array.exists (fun m -> m.mig_in + m.mig_out + m.mig_bounces > 0) ms

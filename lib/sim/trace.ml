@@ -1,29 +1,14 @@
-(** Lightweight debug tracing for the simulator, built on [Logs].
+(** Debug tracing for the simulator: one stderr line per traced event
+    (injected faults, retransmissions), prefixed with the virtual time so
+    that protocol races can be replayed from the output.
 
-    Tracing is off by default; tests and the CLI enable it with
-    [Trace.enable ()].  Trace lines carry the virtual timestamp so that
-    protocol races can be replayed from the output. *)
+    Tracing is on when the program starts with [SHASTA_TRACE=debug] in
+    its environment, and off otherwise.  Off, [f] formats nothing: no
+    string is built and no [%a] printer is called. *)
 
-let src = Logs.Src.create "shasta.sim" ~doc:"Shasta simulator tracing"
+let on = Option.map String.lowercase_ascii (Sys.getenv_opt "SHASTA_TRACE") = Some "debug"
 
-module Log = (val Logs.src_log src : Logs.LOG)
-
-let enable ?(level = Logs.Debug) () =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.Src.set_level src (Some level)
-
-let disable () = Logs.Src.set_level src None
-
-(* SHASTA_TRACE=debug|info enables tracing at load time, so a CLI run
-   can be traced without a code change or a flag. *)
-let () =
-  match Option.map String.lowercase_ascii (Sys.getenv_opt "SHASTA_TRACE") with
-  | Some "debug" -> enable ~level:Logs.Debug ()
-  | Some "info" -> enable ~level:Logs.Info ()
-  | Some _ | None -> ()
-
-(** [f engine fmt ...] logs a debug line prefixed with the virtual time. *)
+(** [f engine fmt ...] prints a trace line prefixed with the virtual time. *)
 let f engine fmt =
-  Format.kasprintf
-    (fun s -> Log.debug (fun m -> m "[%a] %s" Units.pp_time (Engine.now engine) s))
-    fmt
+  if on then Format.eprintf ("[%a] " ^^ fmt ^^ "@.") Units.pp_time (Engine.now engine)
+  else Format.ifprintf Format.err_formatter fmt

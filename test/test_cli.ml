@@ -3,7 +3,15 @@
    code 2 and exactly one [<program>: ...] line on stderr — no
    backtrace, no silent fallback to a default. *)
 
-(* Run program [name] with [args]; returns (exit code, stdout, stderr). *)
+(* Every run here ends in well under a second; one that has not exited
+   after [time_limit] seconds is killed and fails its case, so a
+   regression that makes a program spin fails the suite instead of
+   hanging it. *)
+let time_limit = 10.0
+
+(* Run program [name] with [args]; returns (exit code, stdout, stderr).
+   The output goes to files, not pipes, so the child never blocks on a
+   full pipe while we wait for it. *)
 let run_prog name args =
   let exe = Filename.concat (Filename.dirname Sys.executable_name) ("../bin/" ^ name ^ ".exe") in
   (* Trace lines would land on stderr; run with tracing off. *)
@@ -13,13 +21,38 @@ let run_prog name args =
          (fun v -> not (String.starts_with ~prefix:"SHASTA_TRACE=" v))
          (Array.to_list (Unix.environment ())))
   in
-  let out, inp, err = Unix.open_process_args_full exe (Array.of_list (exe :: args)) env in
-  close_out inp;
-  let stdout = In_channel.input_all out in
-  let stderr = In_channel.input_all err in
-  match Unix.close_process_full (out, inp, err) with
-  | Unix.WEXITED c -> (c, stdout, stderr)
-  | Unix.WSIGNALED s | Unix.WSTOPPED s -> Alcotest.failf "killed by signal %d" s
+  let out_file = Filename.temp_file "cli" ".out" and err_file = Filename.temp_file "cli" ".err" in
+  let open_out f = Unix.openfile f [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let out_fd = open_out out_file and err_fd = open_out err_file in
+  let pid = Unix.create_process_env exe (Array.of_list (exe :: args)) env null out_fd err_fd in
+  List.iter Unix.close [ null; out_fd; err_fd ];
+  let deadline = Unix.gettimeofday () +. time_limit in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.005;
+        wait ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        None
+    | _, status -> Some status
+  in
+  let status = wait () in
+  let slurp f =
+    let s = In_channel.with_open_bin f In_channel.input_all in
+    Sys.remove f;
+    s
+  in
+  let stdout = slurp out_file in
+  let stderr = slurp err_file in
+  match status with
+  | None ->
+      Alcotest.failf "%s %s: no exit within %.0f s; killed" name (String.concat " " args)
+        time_limit
+  | Some (Unix.WEXITED c) -> (c, stdout, stderr)
+  | Some (Unix.WSIGNALED s | Unix.WSTOPPED s) -> Alcotest.failf "killed by signal %d" s
 
 let run = run_prog "shasta_run"
 

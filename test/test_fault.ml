@@ -211,9 +211,9 @@ let test_invariant_checker_under_faults () =
   Alcotest.(check bool) "both validate" true (ok_off && ok_on);
   Alcotest.(check (float 0.0)) "checker does not perturb the simulation" t_off t_on;
   Alcotest.(check bool) "checks actually ran" true
-    (Protocol.Engine.invariant_checks (Shasta.Cluster.protocol_engine cl) > 0);
+    (Protocol.Invariant.checks (Shasta.Cluster.protocol_engine cl) > 0);
   Alcotest.(check (list string)) "quiescent state is clean" []
-    (Protocol.Engine.check_quiescent (Shasta.Cluster.protocol_engine cl))
+    (Protocol.Invariant.check_quiescent (Shasta.Cluster.protocol_engine cl))
 
 (* The transparent LL/SC path must also survive injected faults. *)
 let test_sm_sync_survives_faults () =

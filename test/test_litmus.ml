@@ -138,7 +138,7 @@ let run_figure2 ~check ~schedule =
   let elapsed = Shasta.Cluster.run cl in
   Alcotest.(check (list string)) "clean run" [] (outcome ());
   (elapsed, Sim.Engine.events_fired (Shasta.Cluster.sim cl),
-   Protocol.Engine.invariant_checks (Shasta.Cluster.protocol_engine cl))
+   Protocol.Invariant.checks (Shasta.Cluster.protocol_engine cl))
 
 let test_checker_zero_sim_cost () =
   let t_off, ev_off, n_off = run_figure2 ~check:false ~schedule:Sim.Engine.Fifo in

@@ -496,8 +496,8 @@ let test_wrong_block_extent_mutation_caught () =
   in
   E.init w.eng ~homes:[ 0 ];
   run w;
-  Alcotest.(check bool) "mutation fired" true (E.mutation_fires w.eng > 0);
-  let violations = E.check_quiescent w.eng in
+  Alcotest.(check bool) "mutation fired" true (Protocol.Invariant.mutation_fires w.eng > 0);
+  let violations = Protocol.Invariant.check_quiescent w.eng in
   Alcotest.(check bool)
     (Printf.sprintf "extent violation detected (%s)" (String.concat "; " violations))
     true
@@ -767,7 +767,7 @@ let test_migratory_home_transfer () =
   Alcotest.(check int) "no transfer in flight" 0 in_flight;
   Alcotest.(check int) "home followed the writer" 1
     (E.home_domain_of_block w.eng (E.block_of_addr w.eng a));
-  Alcotest.(check (list string)) "quiescent invariants" [] (E.check_quiescent w.eng)
+  Alcotest.(check (list string)) "quiescent invariants" [] (Protocol.Invariant.check_quiescent w.eng)
 
 let test_first_touch_home () =
   (* First_touch: the first remote requester takes the entry, reads
@@ -786,7 +786,7 @@ let test_first_touch_home () =
   Alcotest.(check int) "no transfer in flight" 0 in_flight;
   Alcotest.(check int) "home moved to the first toucher" 1
     (E.home_domain_of_block w.eng (E.block_of_addr w.eng a));
-  Alcotest.(check (list string)) "quiescent invariants" [] (E.check_quiescent w.eng)
+  Alcotest.(check (list string)) "quiescent invariants" [] (Protocol.Invariant.check_quiescent w.eng)
 
 let test_stale_home_bounce () =
   (* After a migration, a third domain still routes to the static home;
@@ -809,7 +809,7 @@ let test_stale_home_bounce () =
   run w;
   Alcotest.(check int64) "bounced read still returns the data" 77L !got;
   Alcotest.(check bool) "request bounced off the stale home" true (!bounced >= 1);
-  Alcotest.(check (list string)) "quiescent invariants" [] (E.check_quiescent w.eng)
+  Alcotest.(check (list string)) "quiescent invariants" [] (Protocol.Invariant.check_quiescent w.eng)
 
 let test_coalescing_preserves_protocol () =
   (* A burst of non-blocking store misses to distinct remote-homed
@@ -846,9 +846,141 @@ let test_coalescing_preserves_protocol () =
   Alcotest.(check bool) "frames carry their messages" true
     (Mchan.Net.batched_messages w.net >= Mchan.Net.batches w.net)
 
+(* The home's decision, one request at a time: every request kind
+   against every directory state, on a three-domain Base-Shasta cluster
+   (requester R, another domain O, home H).  The directory entry and the
+   tables are set by hand before the run; R then issues exactly one
+   request and waits for its reply.  Each row gives the final
+   (private, domain) states of R and O, H's domain state, the region's
+   recall and invalidation counts, and the SC result; wherever R ends
+   with a readable copy, it must read the home's data. *)
+type dir_state = No_owner | Owned_by_requester | Owned_by_other
+
+type home_row = {
+  kind : P.Ptypes.req_kind;
+  sharer : bool;  (** R is in the sharer set, or believes it holds a copy *)
+  dir : dir_state;
+  r_after : string;
+  o_after : string;
+  h_after : char;
+  recalls : int;
+  invals : int;
+  sc_ok : bool option;
+}
+
+let home_table =
+  let row kind sharer dir r_after o_after h_after recalls invals sc_ok =
+    { kind; sharer; dir; r_after; o_after; h_after; recalls; invals; sc_ok }
+  in
+  let open P.Ptypes in
+  [
+    row Read false No_owner "SS" "II" 'S' 0 0 None;
+    row Read_ex false No_owner "EE" "II" 'I' 0 1 None;
+    row Upgrade true No_owner "EE" "II" 'I' 0 1 None;
+    row Upgrade false No_owner "EE" "II" 'I' 0 1 None;
+    row Sc_upgrade true No_owner "EE" "II" 'I' 0 1 (Some true);
+    (* A failed SC changes no table: R keeps the Pending it set at issue. *)
+    row Sc_upgrade false No_owner "PP" "II" 'S' 0 0 (Some false);
+    row Read false Owned_by_requester "EE" "II" 'I' 0 0 None;
+    row Read_ex false Owned_by_requester "EE" "II" 'I' 0 0 None;
+    row Upgrade true Owned_by_requester "EE" "II" 'I' 0 0 None;
+    row Upgrade false Owned_by_requester "EE" "II" 'I' 0 0 None;
+    row Sc_upgrade true Owned_by_requester "PP" "II" 'I' 0 0 (Some false);
+    row Read false Owned_by_other "SS" "SS" 'S' 1 0 None;
+    row Read_ex false Owned_by_other "EE" "II" 'I' 1 0 None;
+    row Upgrade true Owned_by_other "EE" "II" 'I' 1 0 None;
+    row Upgrade false Owned_by_other "EE" "II" 'I' 1 0 None;
+    row Sc_upgrade true Owned_by_other "PP" "EE" 'I' 0 0 (Some false);
+  ]
+
+let run_home_row row =
+  let w = setup ~variant:P.Config.Base ~nodes:3 ~cpus:1 () in
+  let a = base + 4096 in
+  let sc_ok = ref None in
+  let _, rp =
+    worker w ~cpu_i:0 (fun pcb ->
+        let b = E.block_of_addr w.eng a in
+        let mkind, sc_store =
+          match row.kind with
+          | P.Ptypes.Read -> (E.MRead, None)
+          | P.Ptypes.Read_ex | P.Ptypes.Upgrade -> (E.MStore, None)
+          | P.Ptypes.Sc_upgrade ->
+              ignore (E.raw_ll pcb a Alpha.Insn.W64);
+              (E.MSc, Some (a, Alpha.Insn.W64, 1L))
+        in
+        let miss = E.issue pcb b row.kind mkind ~sc_store () in
+        Sim.Proc.stall (fun () -> miss.E.m_done);
+        if row.kind = P.Ptypes.Sc_upgrade then sc_ok := Some miss.E.m_sc_ok)
+  in
+  let _, op = worker w ~cpu_i:1 (fun _ -> ()) in
+  let _, hp = worker w ~cpu_i:2 (fun _ -> ()) in
+  let dom pcb = pcb.E.dom in
+  E.set_home w.eng ~addr:a ~len:64 ~domain:(dom hp).E.dom_id;
+  E.init w.eng;
+  let b = E.block_of_addr w.eng a in
+  E.raw_write hp a Alpha.Insn.W64 42L;
+  let data = P.Memimg.read_block (dom hp).E.img ~block:b in
+  let hold pcb s =
+    E.tab_set pcb.E.private_tab b s;
+    E.tab_set (dom pcb).E.shared_tab b s;
+    P.Memimg.write_block (dom pcb).E.img ~block:b data
+  in
+  let give_away () =
+    E.tab_set (dom hp).E.shared_tab b P.Ptypes.Invalid;
+    P.Memimg.write_flags (dom hp).E.img ~flag32:P.Config.default.P.Config.flag32 ~block:b
+  in
+  let entry = P.Directory.entry (dom hp).E.dir b in
+  (match row.dir with
+  | No_owner ->
+      if row.sharer then begin
+        hold rp P.Ptypes.Shared;
+        P.Directory.add_sharer entry (dom rp).E.dom_id
+      end
+  | Owned_by_requester ->
+      hold rp P.Ptypes.Exclusive;
+      give_away ();
+      entry.P.Directory.owner <- Some (dom rp).E.dom_id;
+      P.Directory.clear_sharers entry
+  | Owned_by_other ->
+      if row.sharer then hold rp P.Ptypes.Shared;
+      hold op P.Ptypes.Exclusive;
+      give_away ();
+      entry.P.Directory.owner <- Some (dom op).E.dom_id;
+      P.Directory.clear_sharers entry);
+  run w;
+  let pair pcb =
+    let p, d = E.block_state pcb a in
+    Printf.sprintf "%c%c" (E.st_char p) (E.st_char d)
+  in
+  let what =
+    Printf.sprintf "%s%s, %s" (Format.asprintf "%a" P.Ptypes.pp_kind row.kind)
+      (if row.sharer then " (sharer)" else "")
+      (match row.dir with
+      | No_owner -> "no owner"
+      | Owned_by_requester -> "owned by requester"
+      | Owned_by_other -> "owned by other")
+  in
+  let rs = (E.region_stats w.eng).(0) in
+  Alcotest.(check string) (what ^ ": requester") row.r_after (pair rp);
+  Alcotest.(check string) (what ^ ": other") row.o_after (pair op);
+  Alcotest.(check char) (what ^ ": home") row.h_after (E.st_char (snd (E.block_state hp a)));
+  Alcotest.(check int) (what ^ ": recalls") row.recalls rs.E.r_recalls;
+  Alcotest.(check int) (what ^ ": invalidations") row.invals rs.E.r_invals;
+  Alcotest.(check (option bool)) (what ^ ": SC result") row.sc_ok !sc_ok;
+  match row.r_after.[1] with
+  | 'S' | 'E' ->
+      (* A successful SC has stored 1 over the home's 42. *)
+      let want = if row.sc_ok = Some true then 1L else 42L in
+      Alcotest.(check int64) (what ^ ": requester's data") want (E.raw_read rp a Alpha.Insn.W64)
+  | _ -> ()
+
+let test_home_decision_table () = List.iter run_home_row home_table
+
 let suite =
   [
     Alcotest.test_case "read migration" `Quick test_read_migration;
+    Alcotest.test_case "home decision per request kind and directory state" `Quick
+      test_home_decision_table;
     Alcotest.test_case "write invalidates readers" `Quick test_write_invalidates_readers;
     Alcotest.test_case "false miss" `Quick test_false_miss;
     Alcotest.test_case "recall to shared" `Quick test_recall_to_shared;

@@ -556,6 +556,22 @@ let test_rng_keyed_link_streams () =
     (take 64 (Rng.create (link_stream_key 42 0 1))
     <> take 64 (Rng.create (link_stream_key 43 0 1)))
 
+(* With tracing off, a trace call must format nothing: a [%a] printer
+   in its format is never called.  Under SHASTA_TRACE=debug the line is
+   printed, and the printer runs. *)
+let test_trace_off_formats_nothing () =
+  let eng = Sim.Engine.create () in
+  let called = ref false in
+  let pp ppf () =
+    called := true;
+    Format.pp_print_string ppf "x"
+  in
+  Sim.Trace.f eng "traced %a" pp ();
+  let tracing =
+    Option.map String.lowercase_ascii (Sys.getenv_opt "SHASTA_TRACE") = Some "debug"
+  in
+  Alcotest.(check bool) "printer called only when tracing" tracing !called
+
 let test_stats_summary () =
   let s = Stats.summary () in
   List.iter (Stats.observe s) [ 1.0; 2.0; 3.0; 4.0 ];
@@ -849,6 +865,7 @@ let suite =
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng keyed link streams" `Quick test_rng_keyed_link_streams;
+    Alcotest.test_case "trace off formats nothing" `Quick test_trace_off_formats_nothing;
     Alcotest.test_case "stats summary" `Quick test_stats_summary;
     Alcotest.test_case "stats histogram" `Quick test_stats_histogram;
     Alcotest.test_case "log histogram tail accuracy" `Quick test_log_histogram_tail;
